@@ -13,14 +13,15 @@ routes must agree and the test suite leans on that redundancy.
 
 from .errors import (EngineError, InvalidMorphism, MismatchError,
                      MissingPresentation)
-from .formulas import (PpFormula, PpPair, conjoin, equality_graph, evaluate,
-                       evaluated_matrices, implies_all, is_closed, lift,
-                       pair_value, project, substitute_zero, sum_formula)
+from .formulas import (PpFormula, PpPair, _avoid, conjoin, equality_graph,
+                       evaluate, evaluated_matrices, implies_all, is_closed,
+                       lift, pair_value, project, substitute_zero,
+                       sum_formula)
 from .fpmodules import (ElementTuple, FpModule, FpMorphism, UnderlyingData,
                         hom_basis)
 from .linalg import ConcreteMatrix, field_kernel, solve
 from .quivers import AlgebraElement, TypedMatrix
-from .representations import Representation
+from .representations import Fiber, Representation
 from .scalars import check_same_ring
 from .subobjects import QuotientPresentation, SubobjectData
 
@@ -79,7 +80,6 @@ class AbObject:
 
 
 def _probe_representation(quiver, ring, scalar):
-    from .representations import Fiber
     fibers = {v: Fiber(ring, 1) for v in quiver.vertices}
     mats = {a.name: ConcreteMatrix(ring, [[scalar]])
             for a in quiver.arrows}
@@ -135,25 +135,10 @@ def evaluate_object(obj, representation, route="pp", _skip_guard=False):
 def _evaluated_kernel(module, representation):
     """ker of the evaluated relation matrix of a module, inside the fiber
     product of its generator sorts (fiber relations joined over Z)."""
-    h = module.presentation
-    fp = representation.fiber_product(module.generator_sorts)
-    ambient = fp.ambient()
-    h_t = representation.evaluate_typed_matrix(h)
-    combined = h_t
-    if not module.ring.is_field:
-        rel_fp = representation.fiber_product(module.relation_sorts)
-        rel_rows = rel_fp.ambient().relation_rows
-        if rel_rows:
-            combined = combined.hstack(ConcreteMatrix.from_columns(
-                module.ring, [tuple(r) for r in rel_rows], combined.rows))
-    if combined.rows == 0:
-        return ambient.full()
-    if module.ring.is_field:
-        vectors = field_kernel(combined)
-    else:
-        from .linalg import integer_kernel
-        vectors = integer_kernel(combined)
-    return SubobjectData(ambient, [v[:ambient.dim] for v in vectors])
+    ambient = representation.fiber_product(module.generator_sorts).ambient()
+    target = representation.fiber_product(module.relation_sorts).ambient()
+    h_t = representation.evaluate_typed_matrix(module.presentation)
+    return ambient.kernel(h_t, target)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +244,8 @@ def identity_morphism(obj):
 
 def zero_morphism(source, target, mode=ALL_MODULES):
     left, right = _split_indices(source, target)
-    ctx = tuple(source.context) + _disjoint_context(source, target)
+    ctx = tuple(source.context) + _avoid(
+        target.context, {n for n, _ in source.context})
     theta = conjoin(lift(source.pair.top, ctx, left),
                     lift(target.pair.bottom, ctx, right))
     pres = None
@@ -267,20 +253,6 @@ def zero_morphism(source, target, mode=ALL_MODULES):
         pres = FpMorphism.zero(target.presentation.source,
                                source.presentation.source)
     return AbMorphism(source, target, theta, mode, pres, _checked=True)
-
-
-def _disjoint_context(source, target):
-    taken = {n for n, _ in source.context}
-    out = []
-    for name, sort in target.context:
-        candidate = name
-        k = 2
-        while candidate in taken:
-            candidate = "%s_%d" % (name, k)
-            k += 1
-        taken.add(candidate)
-        out.append((candidate, sort))
-    return tuple(out)
 
 
 def compose(first, second):
@@ -292,9 +264,9 @@ def compose(first, second):
     n2 = len(first.target.context)
     n3 = len(second.target.context)
     x_part = tuple(first.theta.context[:n1])
-    xp_part = _disjoint_context_from(x_part, second.theta.context[n2:])
-    mid_part = _disjoint_context_from(x_part + xp_part,
-                                      first.theta.context[n1:])
+    xp_part = _avoid(second.theta.context[n2:], {n for n, _ in x_part})
+    mid_part = _avoid(first.theta.context[n1:],
+                      {n for n, _ in x_part + xp_part})
     big = x_part + xp_part + mid_part
     f_lift = lift(first.theta, big,
                   list(range(n1)) + [n1 + n3 + k for k in range(n2)])
@@ -309,20 +281,6 @@ def compose(first, second):
                       _checked=True)
 
 
-def _disjoint_context_from(existing, pairs):
-    taken = {n for n, _ in existing}
-    out = []
-    for name, sort in pairs:
-        candidate = name
-        k = 2
-        while candidate in taken:
-            candidate = "%s_%d" % (name, k)
-            k += 1
-        taken.add(candidate)
-        out.append((candidate, sort))
-    return tuple(out)
-
-
 def add_morphisms(first, second):
     """Pointwise sum of two parallel morphisms."""
     if first.source != second.source or first.target != second.target:
@@ -332,8 +290,8 @@ def add_morphisms(first, second):
     n_s = len(src.context)
     n_t = len(tgt.context)
     ctx = tuple(first.theta.context)
-    u_vars = _disjoint_context_from(ctx, tgt.context)
-    v_vars = _disjoint_context_from(ctx + u_vars, tgt.context)
+    u_vars = _avoid(tgt.context, {n for n, _ in ctx})
+    v_vars = _avoid(tgt.context, {n for n, _ in ctx + u_vars})
     big = ctx + u_vars + v_vars
     f_lift = lift(first.theta, big,
                   list(range(n_s)) + [n_s + n_t + k for k in range(n_t)])
@@ -363,7 +321,8 @@ def direct_sum(first, second):
     if first.quiver != second.quiver:
         raise MismatchError("objects over different quivers")
     check_same_ring(first.ring, second.ring)
-    ctx = tuple(first.context) + _disjoint_context(first, second)
+    ctx = tuple(first.context) + _avoid(
+        second.context, {n for n, _ in first.context})
     n1 = len(first.context)
     n2 = len(second.context)
     left = list(range(n1))
@@ -434,16 +393,13 @@ def cokernel(f):
 def _partner_solve(theta, source, target, representation, vector):
     """Some x' with (vector, x') in theta(T), via a particular solve."""
     left, right = _split_indices(source, target)
-    a_t, b_t, rel = evaluated_matrices(theta, representation)
+    a_t, b_t, eq_ambient = evaluated_matrices(theta, representation)
     fp_src = representation.fiber_product(source.pair.top.context_sorts)
     fp_tgt = representation.fiber_product(target.pair.top.context_sorts)
     dim_s = fp_src.dim
     a_left = a_t.take_columns(range(dim_s))
     a_right = a_t.take_columns(range(dim_s, a_t.cols))
-    system = a_right.hstack(b_t)
-    if rel:
-        system = system.hstack(ConcreteMatrix.from_columns(
-            theta.ring, [tuple(r) for r in rel], system.rows))
+    system = eq_ambient.with_relations(a_right.hstack(b_t))
     rhs = tuple(theta.ring.neg(x) for x in a_left.apply(vector))
     result = solve(system, rhs)
     if result is None:
@@ -455,17 +411,20 @@ def _partner_solve(theta, source, target, representation, vector):
 def evaluate_morphism(f, representation, route="pp"):
     """The induced map as explicit data: quotient presentations of source
     and target values plus the matrix of class vectors."""
-    source_larger = evaluate(f.source.pair.top, representation)
-    source_smaller = evaluate(f.source.pair.bottom, representation)
-    target_larger = evaluate(f.target.pair.top, representation)
-    target_smaller = evaluate(f.target.pair.bottom, representation)
-    qp_src = QuotientPresentation(source_larger, source_smaller)
-    qp_tgt = QuotientPresentation(target_larger, target_smaller)
+    qp_src, qp_tgt = _value_presentations(f, representation)
     columns = []
     for row in qp_src.generators:
         image = _image_vector(f, representation, row, route)
         columns.append(qp_tgt.class_vector(image))
     return qp_src, qp_tgt, columns
+
+
+def _value_presentations(f, representation):
+    """Quotient presentations top(T)/bottom(T) of the source and target."""
+    def value(obj):
+        return QuotientPresentation(evaluate(obj.pair.top, representation),
+                                    evaluate(obj.pair.bottom, representation))
+    return value(f.source), value(f.target)
 
 
 def _image_vector(f, representation, vector, route):
@@ -484,12 +443,7 @@ def induced_class_matrix(f, representation, route="pp"):
     """The induced map as a matrix on class coordinates: one column per
     class representative of the source value.  Returns (qp_src, qp_tgt,
     matrix)."""
-    source_larger = evaluate(f.source.pair.top, representation)
-    source_smaller = evaluate(f.source.pair.bottom, representation)
-    target_larger = evaluate(f.target.pair.top, representation)
-    target_smaller = evaluate(f.target.pair.bottom, representation)
-    qp_src = QuotientPresentation(source_larger, source_smaller)
-    qp_tgt = QuotientPresentation(target_larger, target_smaller)
+    qp_src, qp_tgt = _value_presentations(f, representation)
     cols = [qp_tgt.class_vector(_image_vector(f, representation, rep_vec,
                                               route))
             for rep_vec in qp_src.class_representatives()]
@@ -596,7 +550,8 @@ def morphism_from_presentation(s, source, target, mode=ALL_MODULES):
     if s.source != g2.source or s.target != g1.source:
         raise MismatchError("presenting map must run target-P -> source-P")
     quiver, ring = s.source.quiver, s.source.ring
-    ctx = tuple(source.context) + _disjoint_context(source, target)
+    ctx = tuple(source.context) + _avoid(
+        target.context, {n for n, _ in source.context})
     n1 = len(source.context)
     n2 = len(target.context)
     src_sorts = tuple(x for _, x in ctx[:n1])

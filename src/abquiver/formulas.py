@@ -10,10 +10,8 @@ compare equal.
 """
 
 from .errors import EngineError, MismatchError
-from .linalg import ConcreteMatrix, field_kernel, integer_kernel
 from .quivers import TypedMatrix
 from .scalars import check_same_ring
-from .subobjects import SubobjectData
 
 
 class PpFormula:
@@ -273,37 +271,17 @@ def evaluate(formula, representation):
     if formula.quiver != representation.quiver:
         raise MismatchError("formula and representation quivers differ")
     check_same_ring(formula.ring, representation.ring)
-    fp_ctx = representation.fiber_product(formula.context_sorts)
-    ambient = fp_ctx.ambient()
-    a_t = representation.evaluate_typed_matrix(formula.matrix_a)
-    b_t = representation.evaluate_typed_matrix(formula.matrix_b)
-    combined = a_t.hstack(b_t)
-    if not formula.ring.is_field:
-        fp_eq = representation.fiber_product(formula.equation_sorts)
-        rel_rows = fp_eq.ambient().relation_rows
-        if rel_rows:
-            combined = combined.hstack(ConcreteMatrix.from_columns(
-                formula.ring, [tuple(r) for r in rel_rows], combined.rows))
-    if combined.rows == 0:
-        return ambient.full()
-    if formula.ring.is_field:
-        kernel = field_kernel(combined)
-    else:
-        kernel = integer_kernel(combined)
-    ctx_dim = fp_ctx.dim
-    gens = [vec[:ctx_dim] for vec in kernel]
-    return SubobjectData(ambient, gens)
+    ambient = representation.fiber_product(formula.context_sorts).ambient()
+    a_t, b_t, eq_ambient = evaluated_matrices(formula, representation)
+    return ambient.kernel(a_t.hstack(b_t), eq_ambient)
 
 
 def evaluated_matrices(formula, representation):
-    """(A(T), B(T), equation-sort relation columns) for solver assembly."""
+    """(A(T), B(T), the ambient of the equation sorts) for solver assembly."""
     a_t = representation.evaluate_typed_matrix(formula.matrix_a)
     b_t = representation.evaluate_typed_matrix(formula.matrix_b)
-    rel = []
-    if not formula.ring.is_field:
-        fp_eq = representation.fiber_product(formula.equation_sorts)
-        rel = [tuple(r) for r in fp_eq.ambient().relation_rows]
-    return a_t, b_t, rel
+    eq_ambient = representation.fiber_product(formula.equation_sorts).ambient()
+    return a_t, b_t, eq_ambient
 
 
 class PpPair:

@@ -10,7 +10,7 @@ satisfaction and implication into exact linear algebra.
 
 from .errors import EngineError, MismatchError
 from .linalg import (ConcreteMatrix, field_kernel, field_solve,
-                     hermite_normal_form, lattice_member)
+                     hermite_normal_form, lattice_member, rref)
 from .quivers import AlgebraElement, Path, TypedMatrix, path_basis
 from .representations import Fiber, Representation
 from .scalars import check_same_ring
@@ -125,7 +125,6 @@ class UnderlyingData:
         self.basis_coords = {}
         fibers = {}
         if ring.is_field:
-            from .linalg import rref
             for w in quiver.vertices:
                 n = len(self.coords[w])
                 mat = ConcreteMatrix(ring, self.relation_vectors[w],

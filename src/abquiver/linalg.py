@@ -391,6 +391,14 @@ def integer_solve(matrix, b):
     return v.apply(tuple(y))
 
 
+def kernel(matrix):
+    """Generators of {x : A x = 0}: a basis over a field, a lattice basis
+    over Z."""
+    if matrix.ring.is_field:
+        return field_kernel(matrix)
+    return integer_kernel(matrix)
+
+
 def solve(matrix, b):
     """Solve A x = b exactly.
 
@@ -398,17 +406,14 @@ def solve(matrix, b):
     solution.  The kernel generators are a basis over a field and lattice
     generators over Z.
     """
-    if matrix.ring.is_field:
-        b = tuple(matrix.ring.coerce(x) for x in b)
-        part = field_solve(matrix, b)
-        if part is None:
-            return None
-        return part, field_kernel(matrix)
     b = tuple(matrix.ring.coerce(x) for x in b)
-    part = integer_solve(matrix, b)
+    if matrix.ring.is_field:
+        part = field_solve(matrix, b)
+    else:
+        part = integer_solve(matrix, b)
     if part is None:
         return None
-    return part, integer_kernel(matrix)
+    return part, kernel(matrix)
 
 
 def hermite_normal_form(rows, width):

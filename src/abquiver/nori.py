@@ -11,12 +11,12 @@ the resulting representation.
 """
 
 from .errors import EngineError
-from .linalg import ConcreteMatrix, field_kernel, integer_kernel
+from .linalg import ConcreteMatrix
 from .quivers import Quiver
 from .representations import Representation
 from .simplicial import (RelativeHomology, SimplicialPair,
                          chain_map_matrix, connecting_chain)
-from .subobjects import Ambient, SubobjectData
+from .subobjects import SubobjectData
 
 
 class PairsCategoryData:
@@ -169,67 +169,40 @@ def homology_representation(data, diagram, ring):
     return Representation(diagram.quiver, ring, fibers, matrices)
 
 
-def _kernel_subobject(ring, matrix, target_fiber, source_fiber):
-    """{b : matrix b = 0 in the presented target fiber} as a subobject of
-    the source fiber's generator space."""
-    relation_rows = []
-    if not ring.is_field and source_fiber.relations is not None:
-        relation_rows = [tuple(r) for r in
-                         source_fiber.relations.transpose().entries]
-    ambient = Ambient(ring, (source_fiber.dim,), ("h",), relation_rows)
-    combined = matrix
-    if not ring.is_field and target_fiber.relations is not None:
-        combined = combined.hstack(target_fiber.relations)
-    if combined.rows == 0:
-        return ambient.full()
-    vectors = (field_kernel(combined) if ring.is_field
-               else integer_kernel(combined))
-    return SubobjectData(ambient, [v[:source_fiber.dim] for v in vectors])
-
-
-def _image_subobject(ring, matrix, target_fiber):
-    relation_rows = []
-    if not ring.is_field and target_fiber.relations is not None:
-        relation_rows = [tuple(r) for r in
-                         target_fiber.relations.transpose().entries]
-    ambient = Ambient(ring, (target_fiber.dim,), ("h",), relation_rows)
-    return SubobjectData(ambient, matrix.transpose().entries)
-
-
 def check_les_exactness(representation, data, diagram, triple_name,
                         degrees):
     """Exactness of ... -> H_i(Y,Z) -> H_i(X,Z) -> H_i(X,Y) -> H_{i-1}(Y,Z)
     -> ... at every slot whose incoming and outgoing maps both lie in the
     degree window; groups outside the window are treated as zero, so the
     verdict is relative to the window."""
-    ring = representation.ring
     (xy_name, xy), (xz_name, xz), (yz_name, yz) = \
         data.triple_pairs(triple_name)
     incl_name, _ = data.find_identity_map(yz, xz)
     quot_name, _ = data.find_identity_map(xz, xy)
     dmax = diagram.dmax
 
-    def fiber(pair_name, i):
+    def ambient(pair_name, i):
         if i < 0 or i > dmax:
             return None
-        return representation.fiber(diagram.vertex(pair_name, i))
+        vertex = diagram.vertex(pair_name, i)
+        return representation.fiber_product((vertex,)).ambient()
 
     def matrix(kind_name, i):
         if i < 0 or i > dmax:
             return None
         return representation.arrow_matrix("%s_h%d" % (kind_name, i))
 
-    def exact_at(mid_fiber, incoming, in_fiber, outgoing, out_fiber):
-        if mid_fiber is None:
+    def exact_at(mid, incoming, outgoing, out):
+        """Image of the incoming map equals the kernel of the outgoing one
+        inside the middle group; a missing map is zero."""
+        if mid is None:
             return True
-        if incoming is None:
-            incoming = ConcreteMatrix.zeros(ring, mid_fiber.dim, 0)
-            in_fiber = None
-        if outgoing is None:
-            outgoing = ConcreteMatrix.zeros(ring, 0, mid_fiber.dim)
-            out_fiber = _ZERO_FIBER
-        image = _image_subobject(ring, incoming, mid_fiber)
-        kernel = _kernel_subobject(ring, outgoing, out_fiber, mid_fiber)
+        image = mid.zero_subobject()
+        if incoming is not None:
+            image = SubobjectData(mid, incoming.transpose().entries)
+        kernel = mid.full()
+        if outgoing is not None:
+            kernel = mid.kernel(outgoing, out)
         return image == kernel
 
     ok = True
@@ -237,27 +210,16 @@ def check_les_exactness(representation, data, diagram, triple_name,
         if i < 0 or i > dmax:
             continue
         # at H_i(X, Z): in = incl_i, out = quot_i
-        ok = ok and exact_at(fiber(xz_name, i),
-                             matrix(incl_name, i), fiber(yz_name, i),
-                             matrix(quot_name, i), fiber(xy_name, i))
+        ok = ok and exact_at(ambient(xz_name, i), matrix(incl_name, i),
+                             matrix(quot_name, i), ambient(xy_name, i))
         # at H_i(X, Y): in = quot_i, out = boundary_i
         boundary_out = matrix(triple_name, i) if i >= 1 else None
-        ok = ok and exact_at(fiber(xy_name, i),
-                             matrix(quot_name, i), fiber(xz_name, i),
-                             boundary_out, fiber(yz_name, i - 1))
+        ok = ok and exact_at(ambient(xy_name, i), matrix(quot_name, i),
+                             boundary_out, ambient(yz_name, i - 1))
         # at H_i(Y, Z): in = boundary_{i+1}, out = incl_i
         boundary_in = matrix(triple_name, i + 1)
-        ok = ok and exact_at(fiber(yz_name, i),
-                             boundary_in, fiber(xy_name, i + 1),
-                             matrix(incl_name, i), fiber(xz_name, i))
+        ok = ok and exact_at(ambient(yz_name, i), boundary_in,
+                             matrix(incl_name, i), ambient(xz_name, i))
         if not ok:
             return False
     return ok
-
-
-class _Zero:
-    dim = 0
-    relations = None
-
-
-_ZERO_FIBER = _Zero()

@@ -8,7 +8,7 @@ along paths and linearly across terms, and blockwise over typed matrices.
 """
 
 from .errors import EngineError, MismatchError
-from .linalg import ConcreteMatrix, block_diagonal, integer_solve
+from .linalg import ConcreteMatrix, block_diagonal
 from .scalars import ZZ, check_same_ring
 from .subobjects import Ambient, QuotientInvariants, invariants_of_presentation
 
@@ -123,20 +123,11 @@ class Representation:
         """Over Z the arrow matrix must send source relations into the
         relation lattice of the target fiber."""
         src_rel = self.fibers[arrow.src].relation_columns()
-        tgt = self.fibers[arrow.tgt]
         if not src_rel:
             return
-        tgt_rel = tgt.relation_columns()
+        zero = self.fiber_product((arrow.tgt,)).ambient().zero_subobject()
         for col in src_rel:
-            image = mat.apply(col)
-            if not tgt_rel:
-                if any(image):
-                    raise MismatchError(
-                        "arrow %s does not descend to the presented fibers"
-                        % arrow.name)
-                continue
-            rel_mat = ConcreteMatrix.from_columns(ZZ, tgt_rel, tgt.dim)
-            if integer_solve(rel_mat, image) is None:
+            if not zero.contains_vector(mat.apply(col)):
                 raise MismatchError(
                     "arrow %s does not descend to the presented fibers"
                     % arrow.name)

@@ -10,7 +10,7 @@ over Z, the boundary relations in those coordinates.
 """
 
 from .errors import EngineError
-from .linalg import ConcreteMatrix, field_kernel, integer_kernel
+from .linalg import ConcreteMatrix
 from .subobjects import Ambient, QuotientPresentation, SubobjectData
 from .representations import Fiber
 
@@ -214,15 +214,7 @@ class RelativeHomology:
         self.ring = ring
         n = len(pair.relative_faces(degree))
         ambient = Ambient(ring, (n,), ("chains",))
-        bd = boundary_matrix(pair, degree, ring)
-        if bd.rows == 0:
-            cycle_vectors = list(
-                ConcreteMatrix.identity(ring, n).entries)
-        elif ring.is_field:
-            cycle_vectors = field_kernel(bd)
-        else:
-            cycle_vectors = integer_kernel(bd)
-        cycles = SubobjectData(ambient, cycle_vectors)
+        cycles = ambient.kernel(boundary_matrix(pair, degree, ring))
         bd_up = boundary_matrix(pair, degree + 1, ring)
         boundaries = SubobjectData(ambient, bd_up.transpose().entries)
         self.presentation = QuotientPresentation(cycles, boundaries)

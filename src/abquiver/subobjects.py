@@ -1,15 +1,21 @@
-"""Subspace and subgroup arithmetic inside finite products of fibers.
+"""Subspace and subgroup arithmetic inside finite products of fibers, and
+kernels of matrices into such products.
 
 Over a field, a subobject is a subspace stored by its reduced row echelon
 basis.  Over Z the ambient is a finitely presented abelian group Z^n / L
 (L the relation lattice) and a subobject is stored as the Hermite normal
 form of the lattice generated by its generators together with L, so equality
 of stored lattices is equality of subgroups of the quotient.
+
+Every value computed at a representation is one kernel: the vectors x of an
+ambient for which a matrix sends (x, y) to zero in a presented target, for
+some y.  ``Ambient.kernel`` joins the target's relations to the matrix as
+extra columns and projects the kernel onto the ambient's coordinates.
 """
 
 from .errors import EngineError, MismatchError
 from .linalg import (ConcreteMatrix, field_solve, hermite_normal_form,
-                     integer_kernel, lattice_member, rref,
+                     kernel, lattice_coordinates, lattice_member, rref,
                      smith_normal_form)
 from .scalars import ZZ
 
@@ -107,6 +113,30 @@ class Ambient:
     def zero_subobject(self):
         return SubobjectData(self, ())
 
+    def with_relations(self, matrix):
+        """The matrix with this ambient's relation rows appended as columns
+        (over Z, a solution may then differ from zero by a relation)."""
+        if matrix.rows != self.dim:
+            raise MismatchError("matrix has %d rows, ambient dimension %d"
+                                % (matrix.rows, self.dim))
+        if not self.relation_rows:
+            return matrix
+        return matrix.hstack(ConcreteMatrix.from_columns(
+            self.ring, self.relation_rows, matrix.rows))
+
+    def kernel(self, matrix, target=None):
+        """{x : matrix (x, y) = 0 in the target for some y}, where x runs
+        over this ambient and y over the remaining columns of the matrix.
+
+        The rows of the matrix are the target's coordinates; over Z the
+        target's relations are existentially quantified like y.  A matrix
+        without rows imposes nothing."""
+        if matrix.rows == 0:
+            return self.full()
+        if target is not None:
+            matrix = target.with_relations(matrix)
+        return SubobjectData(self, [v[:self.dim] for v in kernel(matrix)])
+
     def __eq__(self, other):
         return (isinstance(other, Ambient) and self.ring == other.ring
                 and self.dims == other.dims and self.labels == other.labels
@@ -168,18 +198,10 @@ class SubobjectData:
         if not self.rows or not other.rows:
             return self.ambient.zero_subobject()
         # x in U cap W  <=>  x = a . U = b . W; solve for (a, b).
-        u = ConcreteMatrix(ring, self.rows)
-        w = ConcreteMatrix(ring, other.rows)
-        stacked = u.transpose().hstack(w.transpose().neg())
-        if ring.is_field:
-            from .linalg import field_kernel
-            kernel = field_kernel(stacked)
-        else:
-            kernel = integer_kernel(stacked)
-        gens = []
-        for vec in kernel:
-            a = vec[:u.rows]
-            gens.append(tuple(u.transpose().apply(a)))
+        u = ConcreteMatrix(ring, self.rows).transpose()
+        w = ConcreteMatrix(ring, other.rows).transpose()
+        stacked = u.hstack(w.neg())
+        gens = [u.apply(vec[:u.cols]) for vec in kernel(stacked)]
         return SubobjectData(self.ambient, gens)
 
     def quotient_by(self, smaller):
@@ -190,7 +212,6 @@ class SubobjectData:
         ring = self.ambient.ring
         if ring.is_field:
             return QuotientInvariants(self.rank - smaller.rank)
-        from .linalg import lattice_coordinates
         coords = []
         for row in smaller.rows:
             c = lattice_coordinates(self.rows, row)
@@ -288,7 +309,6 @@ class QuotientPresentation:
             self.relation_rows = tuple(tuple(r) for r in reduced)
             self.class_dim = len(self.generators) - len(pivots)
         else:
-            from .linalg import lattice_coordinates
             rows = []
             for row in smaller.rows:
                 c = lattice_coordinates(self.generators, row)
@@ -327,7 +347,6 @@ class QuotientPresentation:
             pivot_set = set(pivots)
             return tuple(c for k, c in enumerate(coords)
                          if k not in pivot_set)
-        from .linalg import lattice_coordinates
         coords = lattice_coordinates(self.generators, tuple(vector))
         if coords is None:
             raise EngineError("vector outside the larger subobject")

@@ -131,6 +131,19 @@ def test_presented_fibers_descend():
                   "2": Fiber(ZZ, 1, None)}
     with pytest.raises(MismatchError):
         Representation(A2, ZZ, bad_fibers, {"a": ConcreteMatrix(ZZ, [[1]])})
+    # Z/2 -> Z/4: the relation 2 goes to 2 * arrow, which must lie in 4Z.
+    cyclic = {"1": Fiber(ZZ, 1, ConcreteMatrix(ZZ, [[2]])),
+              "2": Fiber(ZZ, 1, ConcreteMatrix(ZZ, [[4]]))}
+    with pytest.raises(MismatchError):
+        Representation(A2, ZZ, cyclic, {"a": ConcreteMatrix(ZZ, [[1]])})
+    Representation(A2, ZZ, cyclic, {"a": ConcreteMatrix(ZZ, [[2]])})
+    # Z/2 -> Z^2 / <(2, 2)>: images (2, 2) descend, (2, 0) does not.
+    diagonal = {"1": Fiber(ZZ, 1, ConcreteMatrix(ZZ, [[2]])),
+                "2": Fiber(ZZ, 2, ConcreteMatrix(ZZ, [[2], [2]]))}
+    Representation(A2, ZZ, diagonal, {"a": ConcreteMatrix(ZZ, [[1], [1]])})
+    with pytest.raises(MismatchError):
+        Representation(A2, ZZ, diagonal,
+                       {"a": ConcreteMatrix(ZZ, [[1], [0]])})
 
 
 def test_fiber_invariants():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from abquiver.errors import MismatchError
+from abquiver.linalg import ConcreteMatrix, field_kernel, integer_kernel
 from abquiver.scalars import GF, QQ, ZZ
 from abquiver.subobjects import (Ambient, QuotientInvariants, SubobjectData,
                                  invariants_of_presentation, subobject_op)
@@ -112,3 +113,51 @@ def test_zero_dimensional_ambient():
     ambient = Ambient(QQ, (0,), ("v",))
     assert ambient.full() == ambient.zero_subobject()
     assert ambient.full().invariants().is_trivial()
+
+
+def test_ambient_kernel_matches_truncated_kernel():
+    # Reference: the kernel of [matrix | target relations as columns],
+    # truncated to the ambient's coordinates.
+    rng = random.Random(31)
+    for ring in (QQ, GF(5), ZZ):
+        reference = integer_kernel if ring == ZZ else field_kernel
+        for _ in range(40):
+            dim = rng.randint(0, 3)
+            rows = rng.randint(1, 3)
+            cols = dim + rng.randint(0, 2)
+            ambient = Ambient(ring, (dim,), ("x",))
+            matrix = ConcreteMatrix(
+                ring, [[rng.randint(-3, 3) for _ in range(cols)]
+                       for _ in range(rows)], rows, cols)
+            relations = []
+            if ring == ZZ:
+                relations = [tuple(rng.randint(-4, 4) for _ in range(rows))
+                             for _ in range(rng.randint(0, 2))]
+            target = Ambient(ring, (rows,), ("y",), relations)
+            joined = matrix
+            if relations:
+                joined = matrix.hstack(
+                    ConcreteMatrix.from_columns(ring, relations, rows))
+            expected = SubobjectData(
+                ambient, [v[:dim] for v in reference(joined)])
+            assert ambient.kernel(matrix, target) == expected
+            if not relations:
+                assert ambient.kernel(matrix) == expected
+
+
+def test_ambient_kernel_of_rowless_matrix_is_full():
+    for ring in (QQ, GF(3), ZZ):
+        ambient = Ambient(ring, (2, 1), ("x", "y"))
+        empty = ConcreteMatrix(ring, [], 0, 4)
+        assert ambient.kernel(empty) == ambient.full()
+        assert ambient.kernel(empty, Ambient(ring, ())) == ambient.full()
+
+
+def test_ambient_kernel_quantifies_target_relations():
+    # x in Z with 2x = 0 in Z/4: x in 2Z.
+    ambient = Ambient(ZZ, (1,), ("x",))
+    target = Ambient(ZZ, (1,), ("y",), relation_rows=[(4,)])
+    kernel = ambient.kernel(ConcreteMatrix(ZZ, [[2]]), target)
+    assert kernel == SubobjectData(ambient, [(2,)])
+    with pytest.raises(MismatchError):
+        ambient.kernel(ConcreteMatrix(ZZ, [[2], [1]]), target)
