@@ -401,10 +401,9 @@ def _partner_solve(theta, source, target, representation, vector):
     a_right = a_t.take_columns(range(dim_s, a_t.cols))
     system = eq_ambient.with_relations(a_right.hstack(b_t))
     rhs = tuple(theta.ring.neg(x) for x in a_left.apply(vector))
-    result = solve(system, rhs)
-    if result is None:
+    particular = solve(system, rhs)
+    if particular is None:
         raise EngineError("partner solve failed; vector outside the source")
-    particular, _ = result
     return tuple(particular[:fp_tgt.dim])
 
 

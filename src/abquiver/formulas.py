@@ -340,10 +340,6 @@ def implies_all(phi, psi):
     return element_satisfies(module, witness, psi)
 
 
-def equivalent_all(phi, psi):
-    return implies_all(phi, psi) and implies_all(psi, phi)
-
-
 # ---------------------------------------------------------------------------
 # Optional simplification
 

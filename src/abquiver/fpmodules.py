@@ -9,11 +9,11 @@ satisfaction and implication into exact linear algebra.
 """
 
 from .errors import EngineError, MismatchError
-from .linalg import (ConcreteMatrix, field_kernel, field_solve,
-                     hermite_normal_form, lattice_member, rref)
+from .linalg import ConcreteMatrix, field_kernel
 from .quivers import AlgebraElement, Path, TypedMatrix, path_basis
 from .representations import Fiber, Representation
 from .scalars import check_same_ring
+from .subobjects import Ambient, SubobjectData
 from .formulas import evaluate
 
 
@@ -88,8 +88,9 @@ class ElementTuple:
 
 class UnderlyingData:
     """Finite presentation of a module's fibers: a coordinate list of
-    (generator, path) pairs per vertex, a Representation carrying the arrow
-    actions, and reduction maps from free coordinates to fiber coordinates."""
+    (generator, path) pairs per vertex, the relation subobject of each free
+    fiber (over a field, fiber coordinates are the classes modulo it), and
+    a Representation carrying the arrow actions."""
 
     def __init__(self, module):
         quiver, ring = module.quiver, module.ring
@@ -121,30 +122,23 @@ class UnderlyingData:
                             vec[k] = ring.add(vec[k], coeff)
                     self.relation_vectors[w].append(tuple(vec))
 
-        self._reduction = {}
+        self.relations = {}
         self.basis_coords = {}
         fibers = {}
-        if ring.is_field:
-            for w in quiver.vertices:
-                n = len(self.coords[w])
-                mat = ConcreteMatrix(ring, self.relation_vectors[w],
-                                     len(self.relation_vectors[w]), n)
-                reduced, pivots = rref(mat)
-                self._reduction[w] = (reduced, pivots)
-                pivot_set = set(pivots)
+        for w in quiver.vertices:
+            n = len(self.coords[w])
+            rels = self.relation_vectors[w]
+            self.relations[w] = SubobjectData(Ambient(ring, (n,)), rels)
+            if ring.is_field:
+                pivots = set(self.relations[w].pivots)
                 self.basis_coords[w] = [k for k in range(n)
-                                        if k not in pivot_set]
+                                        if k not in pivots]
                 fibers[w] = Fiber(ring, len(self.basis_coords[w]))
-        else:
-            for w in quiver.vertices:
-                n = len(self.coords[w])
+            else:
                 self.basis_coords[w] = list(range(n))
-                rels = self.relation_vectors[w]
                 relations = None
                 if rels:
-                    relations = ConcreteMatrix(
-                        ring, [[r[k] for r in rels] for k in range(n)],
-                        n, len(rels))
+                    relations = ConcreteMatrix.from_columns(ring, rels, n)
                 fibers[w] = Fiber(ring, n, relations)
 
         matrices = {}
@@ -162,17 +156,9 @@ class UnderlyingData:
 
     def reduce(self, vertex, free_vector):
         """Fiber coordinates of a vector given on the free (gen, path) grid."""
-        ring = self.module.ring
-        if not ring.is_field:
+        if not self.module.ring.is_field:
             return tuple(free_vector)
-        reduced, pivots = self._reduction[vertex]
-        vec = list(free_vector)
-        for row, p in zip(reduced, pivots):
-            coeff = vec[p]
-            if not ring.is_zero(coeff):
-                vec = [ring.sub(x, ring.mul(coeff, y))
-                       for x, y in zip(vec, row)]
-        return tuple(vec[k] for k in self.basis_coords[vertex])
+        return self.relations[vertex].complement_coordinates(free_vector)
 
     def fiber_dim(self, vertex):
         return self.representation.fiber(vertex).dim
@@ -287,20 +273,8 @@ def _maps_relations_into_relations(source, target, matrix):
             for path, coeff in image.entries[j][l].terms.items():
                 k = data.coord_index[rel_sort][(l, path)]
                 free[k] = ring.add(free[k], coeff)
-        rels = data.relation_vectors[rel_sort]
-        if ring.is_field:
-            if not rels:
-                if any(not ring.is_zero(x) for x in free):
-                    return False
-                continue
-            span = ConcreteMatrix(ring, rels, len(rels),
-                                  len(free)).transpose()
-            if field_solve(span, tuple(free)) is None:
-                return False
-        else:
-            hnf = hermite_normal_form(rels, len(free))
-            if not lattice_member(hnf, tuple(free)):
-                return False
+        if not data.relations[rel_sort].contains_vector(free):
+            return False
     return True
 
 

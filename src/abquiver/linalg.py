@@ -400,20 +400,15 @@ def kernel(matrix):
 
 
 def solve(matrix, b):
-    """Solve A x = b exactly.
+    """A particular solution of A x = b, or ``None`` when there is none.
 
-    Returns ``(particular, kernel_generators)`` or ``None`` when there is no
-    solution.  The kernel generators are a basis over a field and lattice
-    generators over Z.
+    Every solution is the particular one plus an element of
+    ``kernel(matrix)``.
     """
     b = tuple(matrix.ring.coerce(x) for x in b)
     if matrix.ring.is_field:
-        part = field_solve(matrix, b)
-    else:
-        part = integer_solve(matrix, b)
-    if part is None:
-        return None
-    return part, kernel(matrix)
+        return field_solve(matrix, b)
+    return integer_solve(matrix, b)
 
 
 def hermite_normal_form(rows, width):
@@ -473,27 +468,40 @@ def hermite_normal_form(rows, width):
 
 def lattice_member(hnf_rows, vector):
     """Membership of ``vector`` in the lattice given by HNF ``hnf_rows``."""
-    v = [int(x) for x in vector]
-    for row in hnf_rows:
-        lead = next(j for j, x in enumerate(row) if x != 0)
-        if v[lead] % row[lead] != 0:
-            return False
-        q = v[lead] // row[lead]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return lattice_coordinates(ZZ, hnf_rows, vector) is not None
 
 
-def lattice_coordinates(hnf_rows, vector):
-    """Coordinates of ``vector`` in the HNF basis, or None if not a member."""
-    v = [int(x) for x in vector]
+def lattice_coordinates(ring, rows, vector):
+    """Coordinates of ``vector`` in the span of canonical echelon ``rows``
+    (RREF rows over a field, HNF rows over Z), or None outside the span.
+
+    Each row's coordinate is the vector's entry at the row's pivot divided
+    exactly by the pivot, and that multiple of the row is subtracted.  Over
+    a field the pivot is 1; over Z a nonzero remainder rejects the vector.
+    Entries are scalars of ``ring``.
+    """
+    field = ring.is_field
+    sub, mul = ring.sub, ring.mul
+    v = list(vector)
     coords = []
-    for row in hnf_rows:
-        lead = next(j for j, x in enumerate(row) if x != 0)
-        if v[lead] % row[lead] != 0:
-            return None
-        q = v[lead] // row[lead]
+    lead = -1
+    for row in rows:
+        lead += 1
+        while not row[lead]:  # pivots move strictly right down the rows
+            lead += 1
+        if field:
+            q = v[lead]
+        else:
+            q, r = divmod(v[lead], row[lead])
+            if r:
+                return None
         coords.append(q)
-        v = [a - q * b for a, b in zip(v, row)]
+        if not q:
+            continue
+        if field:
+            v = [sub(a, mul(q, b)) for a, b in zip(v, row)]
+        else:
+            v = [a - q * b for a, b in zip(v, row)]
     if any(v):
         return None
     return tuple(coords)

@@ -220,15 +220,3 @@ class Representation:
         dims = ",".join("%s:%d" % (v, self.fibers[v].dim)
                         for v in self.quiver.vertices)
         return "Representation(%s; %s)" % (self.ring, dims)
-
-
-def evaluate_element(representation, element):
-    return representation.evaluate_element(element)
-
-
-def evaluate_typed_matrix(representation, tm):
-    return representation.evaluate_typed_matrix(tm)
-
-
-def direct_sum(first, second):
-    return first.direct_sum(second)

@@ -223,11 +223,10 @@ class RelativeHomology:
         qp = self.presentation
         if self.ring.is_field:
             return Fiber(self.ring, qp.class_dim)
-        cols = qp.relation_columns()
         relations = None
-        if cols:
-            relations = ConcreteMatrix.from_columns(self.ring, cols,
-                                                    qp.class_dim)
+        if qp.relation_rows:
+            relations = ConcreteMatrix.from_columns(
+                self.ring, qp.relation_rows, qp.class_dim)
         return Fiber(self.ring, qp.class_dim, relations)
 
     def generator_chains(self):

@@ -7,6 +7,12 @@ basis.  Over Z the ambient is a finitely presented abelian group Z^n / L
 form of the lattice generated by its generators together with L, so equality
 of stored lattices is equality of subgroups of the quotient.
 
+Either way the stored rows are canonical echelon rows with known pivots, and
+every question about an element is read off them: its coordinates (None
+outside the subobject), hence membership, and over a field its class modulo
+the subspace.  ``QuotientPresentation`` stores its relations the same way,
+once, so class vectors and zero tests run no further elimination.
+
 Every value computed at a representation is one kernel: the vectors x of an
 ambient for which a matrix sends (x, y) to zero in a presented target, for
 some y.  ``Ambient.kernel`` joins the target's relations to the matrix as
@@ -14,9 +20,8 @@ extra columns and projects the kernel onto the ambient's coordinates.
 """
 
 from .errors import EngineError, MismatchError
-from .linalg import (ConcreteMatrix, field_solve, hermite_normal_form,
-                     kernel, lattice_coordinates, lattice_member, rref,
-                     smith_normal_form)
+from .linalg import (ConcreteMatrix, hermite_normal_form, kernel,
+                     lattice_coordinates, rref, smith_normal_form)
 from .scalars import ZZ
 
 
@@ -150,39 +155,54 @@ class Ambient:
 
 
 class SubobjectData:
-    """A subobject of an ambient product, in canonical form."""
+    """A subobject of an ambient product, in canonical form: echelon rows
+    and the column of each row's pivot."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient, generator_rows):
         self.ambient = ambient
         ring = ambient.ring
-        gens = [tuple(ring.coerce(x) for x in row) for row in generator_rows]
-        for g in gens:
-            if len(g) != ambient.dim:
-                raise MismatchError("generator length %d, ambient dimension %d"
-                                    % (len(g), ambient.dim))
+        gens = ConcreteMatrix(ring, generator_rows, cols=ambient.dim)
         if ring.is_field:
-            mat = ConcreteMatrix(ring, gens, len(gens), ambient.dim)
-            reduced, _ = rref(mat)
+            reduced, pivots = rref(gens)
             self.rows = tuple(tuple(r) for r in reduced)
+            self.pivots = tuple(pivots)
         else:
             self.rows = hermite_normal_form(
-                list(gens) + list(ambient.relation_rows), ambient.dim)
+                gens.entries + ambient.relation_rows, ambient.dim)
+            self.pivots = tuple(next(j for j, x in enumerate(r) if x != 0)
+                                for r in self.rows)
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def contains_vector(self, vector):
+    def coordinates(self, vector):
+        """Coordinates of an ambient vector in the stored rows, read off
+        their pivots, or None when the vector lies outside."""
         ring = self.ambient.ring
-        vector = tuple(ring.coerce(x) for x in vector)
-        if ring.is_field:
-            if not self.rows:
-                return all(ring.is_zero(x) for x in vector)
-            mat = ConcreteMatrix(ring, self.rows).transpose()
-            return field_solve(mat, vector) is not None
-        return lattice_member(self.rows, vector)
+        if len(vector) != self.ambient.dim:
+            raise MismatchError("vector length %d, ambient dimension %d"
+                                % (len(vector), self.ambient.dim))
+        return lattice_coordinates(ring, self.rows,
+                                   [ring.coerce(x) for x in vector])
+
+    def contains_vector(self, vector):
+        return self.coordinates(vector) is not None
+
+    def complement_coordinates(self, vector):
+        """Over a field, the class of an ambient vector modulo this
+        subspace: the vector reduced by the stored rows, at the columns
+        that are not pivots."""
+        ring = self.ambient.ring
+        v = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            q = v[p]
+            if not ring.is_zero(q):
+                v = [ring.sub(a, ring.mul(q, b)) for a, b in zip(v, row)]
+        pivots = set(self.pivots)
+        return tuple(x for j, x in enumerate(v) if j not in pivots)
 
     def contains(self, other):
         self._check_ambient(other)
@@ -207,18 +227,12 @@ class SubobjectData:
     def quotient_by(self, smaller):
         """Invariants of self / smaller; raises unless smaller is contained."""
         self._check_ambient(smaller)
-        if not self.contains(smaller):
+        coords = [self.coordinates(row) for row in smaller.rows]
+        if any(c is None for c in coords):
             raise MismatchError("quotient: smaller subobject not contained")
-        ring = self.ambient.ring
-        if ring.is_field:
+        if self.ambient.ring.is_field:
             return QuotientInvariants(self.rank - smaller.rank)
-        coords = []
-        for row in smaller.rows:
-            c = lattice_coordinates(self.rows, row)
-            if c is None:  # cannot happen after the containment check
-                raise EngineError("containment certificate failed")
-            coords.append(c)
-        return invariants_of_presentation(len(self.rows), coords)
+        return invariants_of_presentation(self.rank, coords)
 
     def project(self, coordinate_indices):
         """Image under projection onto a subset of ambient coordinates."""
@@ -283,92 +297,58 @@ def _project_relations(ambient, keep, cols):
 
 class QuotientPresentation:
     """Explicit coordinates on larger/smaller: a generator basis (the rows of
-    the larger subobject) plus, over Z, relation rows expressing the smaller
-    one in those coordinates.  Supplies class vectors for concrete elements
-    so that induced maps between quotients become honest matrices."""
+    the larger subobject) plus relation rows expressing the smaller one in
+    those coordinates, stored once in canonical form as ``relations``.
+    Supplies class vectors for concrete elements so that induced maps
+    between quotients become honest matrices."""
 
     __slots__ = ("ambient", "larger", "smaller", "generators",
-                 "relation_rows", "_field_reduction", "class_dim")
+                 "relation_rows", "relations", "class_dim")
 
     def __init__(self, larger, smaller):
         if larger.ambient != smaller.ambient:
             raise MismatchError("ambient mismatch")
-        if not larger.contains(smaller):
+        coords = [larger.coordinates(row) for row in smaller.rows]
+        if any(c is None for c in coords):
             raise MismatchError("quotient: smaller subobject not contained")
         self.ambient = larger.ambient
         self.larger = larger
         self.smaller = smaller
         ring = self.ambient.ring
         self.generators = larger.rows
+        self.relations = SubobjectData(
+            Ambient(ring, (len(self.generators),)), coords)
         if ring.is_field:
-            coords = [self._coords_field(row) for row in smaller.rows]
-            mat = ConcreteMatrix(ring, coords, len(coords),
-                                 len(self.generators))
-            reduced, pivots = rref(mat)
-            self._field_reduction = (reduced, pivots)
-            self.relation_rows = tuple(tuple(r) for r in reduced)
-            self.class_dim = len(self.generators) - len(pivots)
+            self.relation_rows = self.relations.rows
+            self.class_dim = len(self.generators) - self.relations.rank
         else:
-            rows = []
-            for row in smaller.rows:
-                c = lattice_coordinates(self.generators, row)
-                if c is None:
-                    raise EngineError("containment certificate failed")
-                rows.append(c)
-            self._field_reduction = None
-            self.relation_rows = tuple(rows)
+            self.relation_rows = tuple(coords)
             self.class_dim = len(self.generators)
-
-    def _coords_field(self, vector):
-        ring = self.ambient.ring
-        if not self.generators:
-            if any(not ring.is_zero(x) for x in vector):
-                raise EngineError("vector outside the larger subobject")
-            return ()
-        mat = ConcreteMatrix(ring, self.generators).transpose()
-        sol = field_solve(mat, vector)
-        if sol is None:
-            raise EngineError("vector outside the larger subobject")
-        return sol
 
     def class_vector(self, vector):
         """Coordinates of the class of an ambient vector of the larger
         subobject: reduced coordinates over a field, raw generator
         coordinates over Z (compare modulo relation_rows)."""
-        ring = self.ambient.ring
-        if ring.is_field:
-            coords = list(self._coords_field(vector))
-            reduced, pivots = self._field_reduction
-            for row, p in zip(reduced, pivots):
-                coeff = coords[p]
-                if not ring.is_zero(coeff):
-                    coords = [ring.sub(x, ring.mul(coeff, y))
-                              for x, y in zip(coords, row)]
-            pivot_set = set(pivots)
-            return tuple(c for k, c in enumerate(coords)
-                         if k not in pivot_set)
-        coords = lattice_coordinates(self.generators, tuple(vector))
+        coords = self.larger.coordinates(vector)
         if coords is None:
             raise EngineError("vector outside the larger subobject")
+        if self.ambient.ring.is_field:
+            return self.relations.complement_coordinates(coords)
         return coords
 
     def class_representatives(self):
         """One ambient vector per class coordinate: applying class_vector to
         the k-th representative yields the k-th unit class vector."""
-        ring = self.ambient.ring
-        if not ring.is_field:
+        if not self.ambient.ring.is_field:
             return list(self.generators)
-        _, pivots = self._field_reduction
-        pivot_set = set(pivots)
-        return [self.generators[k] for k in range(len(self.generators))
-                if k not in pivot_set]
+        pivots = set(self.relations.pivots)
+        return [g for k, g in enumerate(self.generators) if k not in pivots]
 
     def is_zero_class(self, class_vector):
         ring = self.ambient.ring
         if ring.is_field:
             return all(ring.is_zero(x) for x in class_vector)
-        hnf = hermite_normal_form(self.relation_rows, self.class_dim)
-        return lattice_member(hnf, class_vector)
+        return self.relations.contains_vector(class_vector)
 
     def classes_equal(self, first, second):
         diff = tuple(self.ambient.ring.sub(a, b)
@@ -379,12 +359,7 @@ class QuotientPresentation:
         ring = self.ambient.ring
         if ring.is_field:
             return QuotientInvariants(self.class_dim)
-        return invariants_of_presentation(self.class_dim,
-                                          self.relation_columns())
-
-    def relation_columns(self):
-        """Each relation as a column vector of length class_dim."""
-        return [tuple(row) for row in self.relation_rows]
+        return invariants_of_presentation(self.class_dim, self.relation_rows)
 
 
 def subobject_op(kind, *args):

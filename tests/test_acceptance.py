@@ -18,6 +18,7 @@ from abquiver.abcat import (YES, AbObject, DiagramEmbedding,
                             presented_morphism_space, zero_morphism)
 from abquiver.formulas import (PpFormula, PpPair, conjoin, implies_all,
                                is_closed, sum_formula)
+from abquiver import linalg
 from abquiver.linalg import ConcreteMatrix, integer_kernel, solve
 from abquiver.quivers import Quiver
 from abquiver.representations import Fiber, Representation
@@ -480,11 +481,11 @@ def test_criterion_8_linalg_kernel():
                     brute = {x for x in
                              itertools.product((0, 1), repeat=cols)
                              if a.apply(x) == b}
-                    result = solve(a, b)
+                    part = solve(a, b)
                     if not brute:
-                        assert result is None
+                        assert part is None
                         continue
-                    part, kern = result
+                    kern = linalg.kernel(a)
                     spanned = {part}
                     for g in kern:
                         spanned |= {tuple((u + w) % 2 for u, w in zip(s, g))

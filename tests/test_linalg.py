@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from abquiver.errors import MismatchError
+from abquiver import linalg
 from abquiver.linalg import (ConcreteMatrix, field_kernel, hermite_normal_form,
                              integer_kernel, integer_solve, lattice_member,
                              smith_normal_form, solve)
@@ -87,7 +88,7 @@ def test_snf_requires_integers():
 
 def test_solve_identity_over_q():
     a = ConcreteMatrix.identity(QQ, 2)
-    part, kernel = solve(a, (1, 0))
+    part, kernel = solve(a, (1, 0)), linalg.kernel(a)
     assert part == (Fraction(1), Fraction(0))
     assert kernel == []
 
@@ -103,7 +104,7 @@ def test_solve_f2_line():
     solutions = {x for x in product((0, 1), repeat=2)
                  if (x[0] + x[1]) % 2 == 1}
     assert solutions == {(1, 0), (0, 1)}
-    part, kernel = solve(a, (1,))
+    part, kernel = solve(a, (1,)), linalg.kernel(a)
     assert part in solutions
     assert kernel == [(1, 1)]
 
@@ -123,9 +124,9 @@ def test_solve_soundness_random():
                            for _ in range(rows)])
             x = tuple(rng.randint(-3, 3) for _ in range(cols))
             b = a.apply(x)
-            result = solve(a, b)
-            assert result is not None
-            part, kernel = result
+            part = solve(a, b)
+            assert part is not None
+            kernel = linalg.kernel(a)
             assert a.apply(part) == b
             zero = tuple(ring.zero() for _ in range(rows))
             for g in kernel:
@@ -146,11 +147,11 @@ def test_solve_completeness_f2_exhaustive_small():
                     b = tuple((bbits >> i) & 1 for i in range(rows))
                     brute = {x for x in product((0, 1), repeat=cols)
                              if a.apply(x) == b}
-                    result = solve(a, b)
+                    part = solve(a, b)
                     if not brute:
-                        assert result is None
+                        assert part is None
                         continue
-                    part, kernel = result
+                    kernel = linalg.kernel(a)
                     assert part in brute
                     spanned = {part}
                     for g in kernel:
