@@ -24,18 +24,16 @@ from .errors import (CyclicQuiverUnsupported, EngineError, InvalidMorphism,
 from .formulas import (PpFormula, PpPair, conjoin, evaluate, implies_all,
                        is_closed, pair_value, project, sum_formula)
 from .fpmodules import (ElementTuple, FpModule, FpMorphism,
-                        element_satisfies, free_realization, hom_basis,
-                        underlying_k_data)
+                        element_satisfies, free_realization, hom_basis)
 from .linalg import ConcreteMatrix, smith_normal_form, solve
 from .nori import (NoriDiagram, PairsCategoryData, build_nori_diagram,
                    check_les_exactness, homology_representation)
 from .quivers import (AlgebraElement, Path, Quiver, TypedMatrix, is_acyclic,
-                      matrix_multiply, multiply, path_basis)
-from .representations import Fiber, FiberProduct, Representation
+                      path_basis)
+from .representations import Fiber, Representation
 from .scalars import GF, QQ, ZZ, PrimeField, ScalarRing, ring_from_tag
 from .simplicial import (RelativeHomology, SimplicialComplex, SimplicialMap,
                          SimplicialPair)
-from .subobjects import (Ambient, QuotientInvariants, SubobjectData,
-                         subobject_op)
+from .subobjects import Ambient, QuotientInvariants, SubobjectData
 
 __version__ = "0.1.0"

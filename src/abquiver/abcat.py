@@ -9,17 +9,24 @@ relative to one representation.  An object built from a projective
 presentation g: P -> N keeps it, so its value can be computed both through
 its pair and through kernels and cokernels of evaluated matrices; the two
 routes must agree and the test suite leans on that redundancy.
+
+A morphism with graph theta evaluates, by ``evaluate_morphism``, to the map
+it induces on values, read off the one subobject theta(T) of the product of
+the source and target tops at T: each class representative of the source
+value has a partner in theta(T), found in its stored echelon rows, and the
+partner's class in the target value is one column of the induced matrix.
+A morphism with a presenting map can also be evaluated by applying that
+map, and the two routes must agree too.
 """
 
 from .errors import (EngineError, InvalidMorphism, MismatchError,
                      MissingPresentation)
 from .formulas import (PpFormula, PpPair, _avoid, conjoin, equality_graph,
-                       evaluate, evaluated_matrices, implies_all, is_closed,
-                       lift, pair_value, project, substitute_zero,
-                       sum_formula)
+                       evaluate, implies_all, is_closed, lift, pair_value,
+                       project, substitute_zero, sum_formula)
 from .fpmodules import (ElementTuple, FpModule, FpMorphism, UnderlyingData,
                         hom_basis)
-from .linalg import ConcreteMatrix, field_kernel, solve
+from .linalg import ConcreteMatrix, field_kernel
 from .quivers import AlgebraElement, TypedMatrix
 from .representations import Fiber, Representation
 from .scalars import check_same_ring
@@ -86,10 +93,6 @@ def _probe_representation(quiver, ring, scalar):
     return Representation(quiver, ring, fibers, mats)
 
 
-def object_from_pair(pair):
-    return AbObject(pair)
-
-
 def object_from_presentation(g):
     """The cokernel object of (g, -) for g: P -> N between fp modules.
 
@@ -135,10 +138,9 @@ def evaluate_object(obj, representation, route="pp", _skip_guard=False):
 def _evaluated_kernel(module, representation):
     """ker of the evaluated relation matrix of a module, inside the fiber
     product of its generator sorts (fiber relations joined over Z)."""
-    ambient = representation.fiber_product(module.generator_sorts).ambient()
-    target = representation.fiber_product(module.relation_sorts).ambient()
     h_t = representation.evaluate_typed_matrix(module.presentation)
-    return ambient.kernel(h_t, target)
+    return representation.ambient(module.generator_sorts).kernel(
+        h_t, representation.ambient(module.relation_sorts))
 
 
 # ---------------------------------------------------------------------------
@@ -390,32 +392,14 @@ def cokernel(f):
 # Evaluation of morphisms
 
 
-def _partner_solve(theta, source, target, representation, vector):
-    """Some x' with (vector, x') in theta(T), via a particular solve."""
-    left, right = _split_indices(source, target)
-    a_t, b_t, eq_ambient = evaluated_matrices(theta, representation)
-    fp_src = representation.fiber_product(source.pair.top.context_sorts)
-    fp_tgt = representation.fiber_product(target.pair.top.context_sorts)
-    dim_s = fp_src.dim
-    a_left = a_t.take_columns(range(dim_s))
-    a_right = a_t.take_columns(range(dim_s, a_t.cols))
-    system = eq_ambient.with_relations(a_right.hstack(b_t))
-    rhs = tuple(theta.ring.neg(x) for x in a_left.apply(vector))
-    particular = solve(system, rhs)
-    if particular is None:
-        raise EngineError("partner solve failed; vector outside the source")
-    return tuple(particular[:fp_tgt.dim])
-
-
 def evaluate_morphism(f, representation, route="pp"):
-    """The induced map as explicit data: quotient presentations of source
-    and target values plus the matrix of class vectors."""
+    """The induced map on values at the representation as explicit data:
+    quotient presentations of the source and target values and the matrix
+    whose columns are the target classes of the source's class
+    representatives.  Returns (qp_src, qp_tgt, matrix)."""
     qp_src, qp_tgt = _value_presentations(f, representation)
-    columns = []
-    for row in qp_src.generators:
-        image = _image_vector(f, representation, row, route)
-        columns.append(qp_tgt.class_vector(image))
-    return qp_src, qp_tgt, columns
+    return qp_src, qp_tgt, _class_matrix(f, representation, route, qp_src,
+                                         qp_tgt)
 
 
 def _value_presentations(f, representation):
@@ -426,45 +410,53 @@ def _value_presentations(f, representation):
     return value(f.source), value(f.target)
 
 
-def _image_vector(f, representation, vector, route):
+def _class_matrix(f, representation, route, qp_src, qp_tgt):
+    """One column per class representative of the source: the class of its
+    image.  The pp route evaluates theta(T) once and reads each image off
+    its stored rows as a partner; the presentation route applies the
+    evaluated presenting matrix."""
+    reps = qp_src.class_representatives()
     if route == "pp":
-        return _partner_solve(f.theta, f.source, f.target, representation,
-                              vector)
-    if route != "presentation":
+        image = evaluate(f.theta, representation).partner if reps else None
+    elif route == "presentation":
+        if f.presentation is None:
+            raise MissingPresentation("morphism carries no presentation")
+        image = representation.evaluate_typed_matrix(
+            f.presentation.matrix).apply
+    else:
         raise EngineError("unknown route %r" % (route,))
-    if f.presentation is None:
-        raise MissingPresentation("morphism carries no presentation")
-    s_t = representation.evaluate_typed_matrix(f.presentation.matrix)
-    return s_t.apply(vector)
+    cols = []
+    for vector in reps:
+        partner = image(vector)
+        if partner is None:
+            raise EngineError("vector of the source has no partner")
+        cols.append(qp_tgt.class_vector(partner))
+    return ConcreteMatrix.from_columns(f.source.ring, cols, qp_tgt.class_dim)
 
 
-def induced_class_matrix(f, representation, route="pp"):
-    """The induced map as a matrix on class coordinates: one column per
-    class representative of the source value.  Returns (qp_src, qp_tgt,
-    matrix)."""
-    qp_src, qp_tgt = _value_presentations(f, representation)
-    cols = [qp_tgt.class_vector(_image_vector(f, representation, rep_vec,
-                                              route))
-            for rep_vec in qp_src.class_representatives()]
-    matrix = ConcreteMatrix.from_columns(f.source.ring, cols,
-                                         qp_tgt.class_dim)
-    return qp_src, qp_tgt, matrix
+def _same_class_matrices(qp_tgt, first, second):
+    return all(qp_tgt.classes_equal(a, b)
+               for a, b in zip(first.columns(), second.columns()))
 
 
 def morphism_routes_agree(f, representation):
     """Whether the pp route and the presentation route induce the same map."""
-    qp_src, qp_tgt, via_pp = evaluate_morphism(f, representation, "pp")
-    _, _, via_pres = evaluate_morphism(f, representation, "presentation")
-    return all(qp_tgt.classes_equal(a, b) for a, b in zip(via_pp, via_pres))
+    qp_src, qp_tgt = _value_presentations(f, representation)
+    return _same_class_matrices(
+        qp_tgt,
+        _class_matrix(f, representation, "pp", qp_src, qp_tgt),
+        _class_matrix(f, representation, "presentation", qp_src, qp_tgt))
 
 
 def equal_in_quotient(f, g, representation):
     """Equality of the evaluated maps (equality in the Serre quotient)."""
     if f.source != g.source or f.target != g.target:
         raise MismatchError("endpoint mismatch")
-    qp_src, qp_tgt, cols_f = evaluate_morphism(f, representation, "pp")
-    _, _, cols_g = evaluate_morphism(g, representation, "pp")
-    return all(qp_tgt.classes_equal(a, b) for a, b in zip(cols_f, cols_g))
+    qp_src, qp_tgt = _value_presentations(f, representation)
+    return _same_class_matrices(
+        qp_tgt,
+        _class_matrix(f, representation, "pp", qp_src, qp_tgt),
+        _class_matrix(g, representation, "pp", qp_src, qp_tgt))
 
 
 def is_zero_object_all(obj):

@@ -271,17 +271,11 @@ def evaluate(formula, representation):
     if formula.quiver != representation.quiver:
         raise MismatchError("formula and representation quivers differ")
     check_same_ring(formula.ring, representation.ring)
-    ambient = representation.fiber_product(formula.context_sorts).ambient()
-    a_t, b_t, eq_ambient = evaluated_matrices(formula, representation)
-    return ambient.kernel(a_t.hstack(b_t), eq_ambient)
-
-
-def evaluated_matrices(formula, representation):
-    """(A(T), B(T), the ambient of the equation sorts) for solver assembly."""
+    ambient = representation.ambient(formula.context_sorts)
     a_t = representation.evaluate_typed_matrix(formula.matrix_a)
     b_t = representation.evaluate_typed_matrix(formula.matrix_b)
-    eq_ambient = representation.fiber_product(formula.equation_sorts).ambient()
-    return a_t, b_t, eq_ambient
+    return ambient.kernel(a_t.hstack(b_t),
+                          representation.ambient(formula.equation_sorts))
 
 
 class PpPair:
@@ -339,64 +333,3 @@ def implies_all(phi, psi):
     module, witness = free_realization(phi)
     return element_satisfies(module, witness, psi)
 
-
-# ---------------------------------------------------------------------------
-# Optional simplification
-
-
-def eliminate_bound(formula):
-    """Remove bound variables whose coefficient in some equation is a unit
-    multiple of a local identity.  Preserves solution sets on every
-    representation; off by default everywhere."""
-    quiver, ring = formula.quiver, formula.ring
-    a, b = formula.matrix_a, formula.matrix_b
-    bound = list(formula.bound)
-    changed = True
-    while changed and bound:
-        changed = False
-        for j in range(a.rows):
-            for i in range(len(bound)):
-                coeff = _unit_identity_coefficient(b.entries[j][i], ring)
-                if coeff is None:
-                    continue
-                inv = _unit_inverse(coeff, ring)
-                rows_a = []
-                rows_b = []
-                for r in range(a.rows):
-                    if r == j:
-                        continue
-                    factor = b.entries[r][i].scale(inv).neg()
-                    new_a = [a.entries[r][c].add(factor.multiply(a.entries[j][c]))
-                             for c in range(a.cols)]
-                    new_b = [b.entries[r][c].add(factor.multiply(b.entries[j][c]))
-                             for c in range(b.cols) if c != i]
-                    rows_a.append(new_a)
-                    rows_b.append(new_b)
-                eq = tuple(s for r, s in enumerate(a.row_types) if r != j)
-                del bound[i]
-                a = TypedMatrix(quiver, ring, eq, a.col_types, rows_a)
-                b = TypedMatrix(quiver, ring, eq,
-                                tuple(s for _, s in bound), rows_b)
-                changed = True
-                break
-            if changed:
-                break
-    return PpFormula(quiver, ring, formula.context, tuple(bound), a, b)
-
-
-def _unit_identity_coefficient(element, ring):
-    """The scalar c when the element is c * e_v with c invertible, else None."""
-    if len(element.terms) != 1:
-        return None
-    path, coeff = next(iter(element.terms.items()))
-    if len(path) != 0:
-        return None
-    if ring.is_field:
-        return coeff
-    return coeff if coeff in (1, -1) else None
-
-
-def _unit_inverse(coeff, ring):
-    if ring.is_field:
-        return ring.invert(coeff)
-    return coeff  # +-1 over Z

@@ -194,11 +194,6 @@ class UnderlyingData:
         return tuple(out)
 
 
-def underlying_k_data(module):
-    """Finite fiber data of a finitely presented module (acyclic quivers)."""
-    return UnderlyingData(module)
-
-
 class FpMorphism:
     """A module morphism given on generators; construction certifies that the
     matrix maps relations into relations via a lifting solve."""
@@ -326,7 +321,9 @@ def hom_basis(source, target):
             entries.append(row)
         matrix = TypedMatrix(source.quiver, ring, gens,
                              target.generator_sorts, entries)
-        out.append(FpMorphism(source, target, matrix))
+        # The field kernel above already certifies that the element sends
+        # every source relation to zero in the target.
+        out.append(FpMorphism(source, target, matrix, _certified=True))
     return out
 
 

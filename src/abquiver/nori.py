@@ -185,7 +185,7 @@ def check_les_exactness(representation, data, diagram, triple_name,
         if i < 0 or i > dmax:
             return None
         vertex = diagram.vertex(pair_name, i)
-        return representation.fiber_product((vertex,)).ambient()
+        return representation.ambient((vertex,))
 
     def matrix(kind_name, i):
         if i < 0 or i > dmax:

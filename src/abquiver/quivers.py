@@ -204,13 +204,6 @@ def path_basis(quiver, src, tgt):
     return found
 
 
-def total_path_count(quiver):
-    """Dimension of the path algebra of an acyclic quiver."""
-    quiver.require_acyclic()
-    return sum(len(path_basis(quiver, s, t))
-               for s in quiver.vertices for t in quiver.vertices)
-
-
 class AlgebraElement:
     """A finite k-linear combination of paths sharing src and tgt."""
 
@@ -317,10 +310,6 @@ class AlgebraElement:
             return "0[%s->%s]" % (self.src, self.tgt)
         bits = ["%s*%r" % (c, p) for p, c in self.sorted_terms()]
         return " + ".join(bits)
-
-
-def multiply(a, b):
-    return a.multiply(b)
 
 
 class TypedMatrix:
@@ -460,6 +449,3 @@ class TypedMatrix:
         return "TypedMatrix(%s <- %s)" % (list(self.row_types),
                                           list(self.col_types))
 
-
-def matrix_multiply(g, h):
-    return g.mul(h)

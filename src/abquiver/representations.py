@@ -56,43 +56,6 @@ class Fiber:
             self.ring, self.dim, self.relations.cols)
 
 
-class FiberProduct:
-    """An ordered product of fibers, coordinates typed by vertices."""
-
-    __slots__ = ("ring", "sorts", "fibers")
-
-    def __init__(self, ring, sorts, fibers):
-        self.ring = ring
-        self.sorts = tuple(sorts)
-        self.fibers = tuple(fibers)
-        if len(self.sorts) != len(self.fibers):
-            raise MismatchError("sort/fiber count mismatch")
-
-    @property
-    def dim(self):
-        return sum(f.dim for f in self.fibers)
-
-    def dims(self):
-        return tuple(f.dim for f in self.fibers)
-
-    def ambient(self):
-        relation_rows = []
-        if not self.ring.is_field:
-            offsets = []
-            pos = 0
-            for f in self.fibers:
-                offsets.append(pos)
-                pos += f.dim
-            total = pos
-            for off, f in zip(offsets, self.fibers):
-                for col in f.relation_columns():
-                    row = [0] * total
-                    for i, x in enumerate(col):
-                        row[off + i] = x
-                    relation_rows.append(tuple(row))
-        return Ambient(self.ring, self.dims(), self.sorts, relation_rows)
-
-
 class Representation:
     """An assignment of fibers to vertices and matrices to arrows."""
 
@@ -125,7 +88,7 @@ class Representation:
         src_rel = self.fibers[arrow.src].relation_columns()
         if not src_rel:
             return
-        zero = self.fiber_product((arrow.tgt,)).ambient().zero_subobject()
+        zero = self.ambient((arrow.tgt,)).zero_subobject()
         for col in src_rel:
             if not zero.contains_vector(mat.apply(col)):
                 raise MismatchError(
@@ -138,9 +101,21 @@ class Representation:
     def arrow_matrix(self, name):
         return self.arrow_matrices[name]
 
-    def fiber_product(self, sorts):
-        return FiberProduct(self.ring, sorts,
-                            [self.fiber(s) for s in sorts])
+    def ambient(self, sorts):
+        """The product of the fibers at the sorts, in order, with each
+        fiber's relations (over Z) as relation rows on its own block."""
+        fibers = [self.fiber(s) for s in sorts]
+        total = sum(f.dim for f in fibers)
+        relation_rows = []
+        pos = 0
+        for f in fibers:
+            for col in f.relation_columns():
+                row = [0] * total
+                row[pos:pos + f.dim] = col
+                relation_rows.append(tuple(row))
+            pos += f.dim
+        return Ambient(self.ring, [f.dim for f in fibers], sorts,
+                       relation_rows)
 
     def evaluate_path(self, path):
         mat = ConcreteMatrix.identity(self.ring, self.fiber(path.src).dim)

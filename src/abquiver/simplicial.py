@@ -240,10 +240,6 @@ class RelativeHomology:
         return self.presentation.invariants()
 
 
-def relative_homology(pair, degree, ring):
-    return RelativeHomology(pair, degree, ring)
-
-
 def connecting_chain(ring, pair_xy, pair_yz, cycle_vector, degree):
     """The boundary of a relative cycle of (X, Y), read as a relative chain
     of (Y, Z): lift, apply the boundary of X, project."""

@@ -9,9 +9,11 @@ of stored lattices is equality of subgroups of the quotient.
 
 Either way the stored rows are canonical echelon rows with known pivots, and
 every question about an element is read off them: its coordinates (None
-outside the subobject), hence membership, and over a field its class modulo
-the subspace.  ``QuotientPresentation`` stores its relations the same way,
-once, so class vectors and zero tests run no further elimination.
+outside the subobject), hence membership, over a field its class modulo
+the subspace, and for a vector of the leading coordinates a partner that
+completes it to an element.  ``QuotientPresentation`` stores its relations
+the same way, once, so class vectors and zero tests run no further
+elimination.
 
 Every value computed at a representation is one kernel: the vectors x of an
 ambient for which a matrix sends (x, y) to zero in a presented target, for
@@ -118,28 +120,23 @@ class Ambient:
     def zero_subobject(self):
         return SubobjectData(self, ())
 
-    def with_relations(self, matrix):
-        """The matrix with this ambient's relation rows appended as columns
-        (over Z, a solution may then differ from zero by a relation)."""
-        if matrix.rows != self.dim:
-            raise MismatchError("matrix has %d rows, ambient dimension %d"
-                                % (matrix.rows, self.dim))
-        if not self.relation_rows:
-            return matrix
-        return matrix.hstack(ConcreteMatrix.from_columns(
-            self.ring, self.relation_rows, matrix.rows))
-
     def kernel(self, matrix, target=None):
         """{x : matrix (x, y) = 0 in the target for some y}, where x runs
         over this ambient and y over the remaining columns of the matrix.
 
         The rows of the matrix are the target's coordinates; over Z the
-        target's relations are existentially quantified like y.  A matrix
-        without rows imposes nothing."""
+        target's relation rows join the matrix as extra columns, so they
+        are existentially quantified like y.  A matrix without rows imposes
+        nothing."""
         if matrix.rows == 0:
             return self.full()
         if target is not None:
-            matrix = target.with_relations(matrix)
+            if matrix.rows != target.dim:
+                raise MismatchError("matrix has %d rows, target dimension %d"
+                                    % (matrix.rows, target.dim))
+            if target.relation_rows:
+                matrix = matrix.hstack(ConcreteMatrix.from_columns(
+                    self.ring, target.relation_rows, matrix.rows))
         return SubobjectData(self, [v[:self.dim] for v in kernel(matrix)])
 
     def __eq__(self, other):
@@ -190,6 +187,28 @@ class SubobjectData:
 
     def contains_vector(self, vector):
         return self.coordinates(vector) is not None
+
+    def partner(self, head):
+        """Some tail w with (head, w) in this subobject, where head fills
+        the first len(head) coordinates, or None when there is none.
+
+        The stored rows whose pivot lies among those coordinates come
+        first, and restricted to them they are echelon rows spanning the
+        projection; head's coordinates in them, applied to the rest of the
+        same rows, give w."""
+        ring = self.ambient.ring
+        k = len(head)
+        rows = self.rows[:sum(1 for p in self.pivots if p < k)]
+        coords = lattice_coordinates(ring, [r[:k] for r in rows],
+                                     [ring.coerce(x) for x in head])
+        if coords is None:
+            return None
+        tail = [ring.zero()] * (self.ambient.dim - k)
+        for q, row in zip(coords, rows):
+            if not ring.is_zero(q):
+                tail = [ring.add(a, ring.mul(q, b))
+                        for a, b in zip(tail, row[k:])]
+        return tuple(tail)
 
     def complement_coordinates(self, vector):
         """Over a field, the class of an ambient vector modulo this
@@ -361,19 +380,3 @@ class QuotientPresentation:
             return QuotientInvariants(self.class_dim)
         return invariants_of_presentation(self.class_dim, self.relation_rows)
 
-
-def subobject_op(kind, *args):
-    """Dispatching front door: sum, intersection, quotient or membership."""
-    if kind == "sum":
-        first, second = args
-        return first.sum(second)
-    if kind == "intersection":
-        first, second = args
-        return first.intersection(second)
-    if kind == "quotient":
-        larger, smaller = args
-        return larger.quotient_by(smaller)
-    if kind == "membership":
-        sub, vector = args
-        return sub.contains_vector(vector)
-    raise EngineError("unknown subobject operation %r" % (kind,))

@@ -12,8 +12,8 @@ import time
 
 from abquiver.abcat import (YES, AbObject, DiagramEmbedding,
                             SerreKernelOracle, cokernel, direct_sum,
-                            evaluate_object, identity_morphism,
-                            induced_class_matrix, in_kernel, kernel,
+                            evaluate_morphism, evaluate_object,
+                            identity_morphism, in_kernel, kernel,
                             morphism_from_presentation, morphism_routes_agree,
                             presented_morphism_space, zero_morphism)
 from abquiver.formulas import (PpFormula, PpPair, conjoin, implies_all,
@@ -105,8 +105,8 @@ def _check_exact_kernel(f, t):
     """0 -> F(ker f) -> F(src) -> F(tgt) exact at the first two spots."""
     ring = t.ring
     k, incl = kernel(f)
-    qp_k, qp_src, m_incl = induced_class_matrix(incl, t)
-    qp_src2, qp_tgt, m_f = induced_class_matrix(f, t)
+    qp_k, qp_src, m_incl = evaluate_morphism(incl, t)
+    qp_src2, qp_tgt, m_f = evaluate_morphism(f, t)
     composite = m_f.mul(m_incl)
     if ring.is_field:
         assert all(qp_tgt.is_zero_class(col)
@@ -147,8 +147,8 @@ def _check_exact_cokernel(f, t):
     """F(src) -> F(tgt) -> F(coker f) -> 0 exact at the last two spots."""
     ring = t.ring
     c, proj = cokernel(f)
-    _, qp_tgt, m_f = induced_class_matrix(f, t)
-    qp_tgt2, qp_c, m_proj = induced_class_matrix(proj, t)
+    _, qp_tgt, m_f = evaluate_morphism(f, t)
+    qp_tgt2, qp_c, m_proj = evaluate_morphism(proj, t)
     composite = m_proj.mul(m_f)
     assert all(qp_c.is_zero_class(col)
                for col in composite.transpose().entries)
@@ -318,7 +318,7 @@ def test_criterion_4_embedding_evaluates_to_fibers():
                 == t.fiber(v).invariants()
         for arrow in quiver.arrows:
             f = delta.morphism(arrow.name)
-            qp_src, qp_tgt, matrix = induced_class_matrix(f, t)
+            qp_src, qp_tgt, matrix = evaluate_morphism(f, t)
             expected = t.arrow_matrix(arrow.name)
             assert matrix.rows == expected.rows
             assert matrix.cols == expected.cols

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from abquiver.errors import EngineError, MismatchError
-from abquiver.formulas import (PpFormula, PpPair, conjoin, eliminate_bound,
-                               equality_graph, evaluate, implies_all,
-                               is_closed, pair_value, project, sum_formula)
+from abquiver.formulas import (PpFormula, PpPair, conjoin, equality_graph,
+                               evaluate, implies_all, is_closed, pair_value,
+                               project, sum_formula)
 from abquiver.linalg import ConcreteMatrix
 from abquiver.quivers import AlgebraElement, TypedMatrix
 from abquiver.representations import Fiber, Representation
@@ -205,18 +205,6 @@ def test_direct_sum_compatibility():
         # Dimensions add: the solution space of the direct sum is the direct
         # sum of the solution spaces under the coordinate reshuffle.
         assert s12.rank == s1.rank + s2.rank
-
-
-def test_eliminate_bound_preserves_solutions():
-    rng = random.Random(38)
-    for _ in range(40):
-        quiver = rng.choice([A2, A3, SQUARE])
-        ring = rng.choice([QQ, GF(3)])
-        phi = random_formula(rng, quiver, ring)
-        simplified = eliminate_bound(phi)
-        for _ in range(3):
-            t = random_representation(rng, quiver, ring)
-            assert evaluate(simplified, t) == evaluate(phi, t)
 
 
 def test_equality_graph():

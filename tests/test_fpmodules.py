@@ -4,9 +4,10 @@ import pytest
 
 from abquiver.errors import CyclicQuiverUnsupported, EngineError, MismatchError
 from abquiver.formulas import PpFormula, evaluate, implies_all
+from abquiver import fpmodules
 from abquiver.fpmodules import (ElementTuple, FpModule, FpMorphism,
-                                element_satisfies, free_realization,
-                                hom_basis, underlying_k_data)
+                                UnderlyingData, element_satisfies,
+                                free_realization, hom_basis)
 from abquiver.quivers import AlgebraElement, Path, Quiver, TypedMatrix
 from abquiver.scalars import GF, QQ, ZZ
 
@@ -29,23 +30,23 @@ def divisibility_formula(ring):
 
 
 def test_underlying_data_representables():
-    assert underlying_k_data(
+    assert UnderlyingData(
         FpModule.representable(A2, QQ, "2")).dimension_vector() == (0, 1)
-    data = underlying_k_data(FpModule.representable(A2, QQ, "1"))
+    data = UnderlyingData(FpModule.representable(A2, QQ, "1"))
     assert data.dimension_vector() == (1, 1)
     paths = {p.arrows for _, p in data.coords["2"]}
     assert paths == {("a",)}
 
 
 def test_underlying_data_simple_module():
-    assert underlying_k_data(simple_s1(QQ)).dimension_vector() == (1, 0)
+    assert UnderlyingData(simple_s1(QQ)).dimension_vector() == (1, 0)
 
 
 def test_cyclic_quiver_unsupported():
     loop = Quiver(["1"], [("l", "1", "1")])
     mod = FpModule.representable(loop, QQ, "1")
     with pytest.raises(CyclicQuiverUnsupported):
-        underlying_k_data(mod)
+        UnderlyingData(mod)
 
 
 def test_hom_basis_examples():
@@ -68,10 +69,44 @@ def test_hom_basis_yoneda():
         from gens import random_typed_matrix
         h = random_typed_matrix(rng, quiver, QQ, rels, gens)
         module = FpModule(quiver, QQ, h)
-        data = underlying_k_data(module)
+        data = UnderlyingData(module)
         for v in quiver.vertices:
             pv = FpModule.representable(quiver, QQ, v)
             assert len(hom_basis(pv, module)) == data.fiber_dim(v)
+
+
+def test_hom_basis_builds_target_data_once(monkeypatch):
+    # The field kernel that hom_basis solves already certifies every basis
+    # element, so no element rebuilds the target's data to re-check it.
+    built = []
+    original = UnderlyingData.__init__
+
+    def counting(self, module):
+        built.append(module)
+        original(self, module)
+    rng = random.Random(47)
+    from gens import random_typed_matrix
+    sizes = []
+    for _ in range(12):
+        quiver = rng.choice([A2, A3])
+        modules = []
+        for _ in range(2):
+            gens = tuple(rng.choice(quiver.vertices)
+                         for _ in range(rng.randint(1, 2)))
+            rels = tuple(rng.choice(quiver.vertices)
+                         for _ in range(rng.randint(0, 2)))
+            h = random_typed_matrix(rng, quiver, QQ, rels, gens)
+            modules.append(FpModule(quiver, QQ, h))
+        source, target = modules
+        monkeypatch.setattr(fpmodules.UnderlyingData, "__init__", counting)
+        del built[:]
+        basis = hom_basis(source, target)
+        assert built == [target]
+        monkeypatch.undo()
+        for h in basis:
+            FpMorphism(source, target, h.matrix)  # certifies on its own
+        sizes.append(len(basis))
+    assert max(sizes) > 0
 
 
 def test_hom_basis_requires_field():
@@ -95,15 +130,15 @@ def test_fpmorphism_certification():
 def test_free_realization_trivial_formulas():
     triv = PpFormula.trivial(A2, QQ, (("x", "1"),))
     module, witness = free_realization(triv)
-    assert underlying_k_data(module).dimension_vector() == (1, 1)
+    assert UnderlyingData(module).dimension_vector() == (1, 1)
     zero = PpFormula.zero(A2, QQ, (("x", "1"),))
     module0, witness0 = free_realization(zero)
-    assert underlying_k_data(module0).dimension_vector() == (0, 0)
+    assert UnderlyingData(module0).dimension_vector() == (0, 0)
 
 
 def test_free_realization_divisibility():
     module, witness = free_realization(divisibility_formula(QQ))
-    data = underlying_k_data(module)
+    data = UnderlyingData(module)
     assert data.dimension_vector() == (1, 1)
     assert data.element_value(witness) == (1,)
 
@@ -172,7 +207,7 @@ def test_module_from_representation_roundtrip():
         quiver = rng.choice([A2, A3])
         rep = random_representation(rng, quiver, GF(2), max_dim=2)
         module, _ = module_from_representation(rep)
-        data = underlying_k_data(module)
+        data = UnderlyingData(module)
         for v in quiver.vertices:
             assert data.fiber_dim(v) == rep.fiber(v).dim
 
@@ -194,7 +229,7 @@ def test_free_realization_contract_brute_force():
         for rep in reps:
             target, gen_index = module_from_representation(rep)
             homs = hom_basis(module, target)
-            target_data = underlying_k_data(target)
+            target_data = UnderlyingData(target)
             realized = set()
             # All F_2 combinations of hom basis elements.
             for bits in range(2 ** len(homs)):

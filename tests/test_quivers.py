@@ -4,8 +4,7 @@ import pytest
 
 from abquiver.errors import CyclicQuiverUnsupported, EngineError, MismatchError
 from abquiver.quivers import (AlgebraElement, Quiver, TypedMatrix,
-                              is_acyclic, matrix_multiply, multiply,
-                              path_basis, total_path_count)
+                              is_acyclic, path_basis)
 from abquiver.scalars import GF, QQ, ZZ
 
 
@@ -23,27 +22,27 @@ def test_local_identity_absorbs():
     a = elem(A2, QQ, "a")
     e2 = AlgebraElement.vertex_identity(A2, QQ, "2")
     e1 = AlgebraElement.vertex_identity(A2, QQ, "1")
-    assert multiply(e2, a) == a
-    assert multiply(a, e1) == a
+    assert e2.multiply(a) == a
+    assert a.multiply(e1) == a
 
 
 def test_noncomposable_product_is_zero():
     a = elem(A2, QQ, "a")
-    assert multiply(a, a).is_zero()
+    assert a.multiply(a).is_zero()
 
 
 def test_bilinearity():
     q = Quiver(["1", "2", "3"],
                [("a", "2", "3"), ("b", "2", "3"), ("c", "1", "2")])
     a, b, c = (elem(q, QQ, n) for n in "abc")
-    lhs = multiply(a.add(b.scale(2)), c)
-    rhs = multiply(a, c).add(multiply(b, c).scale(2))
+    lhs = a.add(b.scale(2)).multiply(c)
+    rhs = a.multiply(c).add(b.multiply(c).scale(2))
     assert lhs == rhs
 
 
 def test_ring_mismatch():
     with pytest.raises(MismatchError):
-        multiply(elem(A2, QQ, "a"), elem(A2, ZZ, "a"))
+        elem(A2, QQ, "a").multiply(elem(A2, ZZ, "a"))
 
 
 def test_path_basis_a2():
@@ -93,7 +92,8 @@ def test_dimension_matches_transitive_closure_count():
             power = [[sum(power[i][k] * adj[k][j] for k in range(n))
                       for j in range(n)] for i in range(n)]
             total += sum(sum(row) for row in power)
-        assert total_path_count(quiver) == total
+        assert sum(len(path_basis(quiver, s, t)) for s in quiver.vertices
+                   for t in quiver.vertices) == total
 
 
 def random_element(rng, quiver, ring, src, tgt):
@@ -120,7 +120,7 @@ def test_associativity_random():
         x = random_element(rng, quiver, QQ, u, v)
         y = random_element(rng, quiver, QQ, t, u)
         z = random_element(rng, quiver, QQ, s, t)
-        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        assert x.multiply(y).multiply(z) == x.multiply(y.multiply(z))
         count += 1
 
 
@@ -132,8 +132,8 @@ def test_local_identities_random():
         x = random_element(rng, SQUARE, GF(5), s, t)
         et = AlgebraElement.vertex_identity(SQUARE, GF(5), t)
         es = AlgebraElement.vertex_identity(SQUARE, GF(5), s)
-        assert multiply(et, x) == x
-        assert multiply(x, es) == x
+        assert et.multiply(x) == x
+        assert x.multiply(es) == x
 
 
 def random_typed_matrix(rng, quiver, ring, row_types, col_types):
@@ -148,8 +148,8 @@ def test_matrix_identity_law():
         rt = tuple(rng.choice(SQUARE.vertices) for _ in range(rng.randint(0, 3)))
         ct = tuple(rng.choice(SQUARE.vertices) for _ in range(rng.randint(0, 3)))
         h = random_typed_matrix(rng, SQUARE, QQ, rt, ct)
-        assert matrix_multiply(TypedMatrix.identity(SQUARE, QQ, rt), h) == h
-        assert matrix_multiply(h, TypedMatrix.identity(SQUARE, QQ, ct)) == h
+        assert TypedMatrix.identity(SQUARE, QQ, rt).mul(h) == h
+        assert h.mul(TypedMatrix.identity(SQUARE, QQ, ct)) == h
 
 
 def test_matrix_associativity_random():
@@ -171,14 +171,14 @@ def test_1x1_matrix_product_reduces_to_multiply():
     e1 = AlgebraElement.vertex_identity(A2, QQ, "1")
     g = TypedMatrix(A2, QQ, ("2",), ("1",), [[x]])
     h = TypedMatrix(A2, QQ, ("1",), ("1",), [[e1]])
-    assert matrix_multiply(g, h).entries[0][0] == multiply(x, e1)
+    assert g.mul(h).entries[0][0] == x.multiply(e1)
 
 
 def test_matrix_type_mismatch():
     g = TypedMatrix.identity(A2, QQ, ("1",))
     h = TypedMatrix.identity(A2, QQ, ("2",))
     with pytest.raises(MismatchError):
-        matrix_multiply(g, h)
+        g.mul(h)
 
 
 def test_entry_typing_enforced():

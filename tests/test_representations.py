@@ -4,8 +4,7 @@ import pytest
 
 from abquiver.errors import MismatchError
 from abquiver.linalg import ConcreteMatrix
-from abquiver.quivers import (AlgebraElement, TypedMatrix, multiply,
-                              path_basis)
+from abquiver.quivers import AlgebraElement, TypedMatrix, path_basis
 from abquiver.representations import Fiber, Representation
 from abquiver.scalars import GF, QQ, ZZ
 from abquiver.subobjects import QuotientInvariants
@@ -71,7 +70,7 @@ def test_functoriality_random():
         e = rng.choice(SQUARE.vertices)
         x = random_element(rng, SQUARE, QQ, mid, e)
         y = random_element(rng, SQUARE, QQ, s, mid)
-        lhs = t.evaluate_element(multiply(x, y))
+        lhs = t.evaluate_element(x.multiply(y))
         rhs = t.evaluate_element(x).mul(t.evaluate_element(y))
         assert lhs == rhs
 

@@ -9,12 +9,13 @@ from abquiver.abcat import DiagramEmbedding, compose
 from abquiver.errors import MismatchError
 from abquiver.linalg import (ConcreteMatrix, field_kernel,
                              hermite_normal_form, integer_kernel)
+from abquiver.representations import Fiber, Representation
 from abquiver.scalars import GF, QQ, ZZ
 from abquiver.subobjects import (Ambient, QuotientInvariants,
                                  QuotientPresentation, SubobjectData,
-                                 invariants_of_presentation, subobject_op)
+                                 invariants_of_presentation)
 
-from gens import A3, random_representation
+from gens import A3
 from oracles import abelian_invariants, rational_rank
 
 
@@ -23,7 +24,7 @@ def test_quotient_z2_by_2z_plus_z():
     ambient = Ambient(ZZ, (2,), ("v",))
     larger = ambient.full()
     smaller = SubobjectData(ambient, [(2, 0), (0, 1)])
-    inv = subobject_op("quotient", larger, smaller)
+    inv = larger.quotient_by(smaller)
     assert inv == QuotientInvariants(0, (2,))
     free, torsion = abelian_invariants(2, [(2, 0), (0, 1)])
     assert (inv.free_rank, list(inv.torsion)) == (free, torsion)
@@ -33,7 +34,7 @@ def test_intersection_of_axes_is_zero():
     ambient = Ambient(QQ, (2,), ("v",))
     u = SubobjectData(ambient, [(1, 0)])
     w = SubobjectData(ambient, [(0, 1)])
-    assert subobject_op("intersection", u, w) == ambient.zero_subobject()
+    assert u.intersection(w) == ambient.zero_subobject()
 
 
 def test_sum_of_two_lines_is_plane():
@@ -42,14 +43,14 @@ def test_sum_of_two_lines_is_plane():
     ambient = Ambient(QQ, (2,), ("v",))
     u = SubobjectData(ambient, [(1, 1)])
     w = SubobjectData(ambient, [(1, -1)])
-    assert subobject_op("sum", u, w) == ambient.full()
+    assert u.sum(w) == ambient.full()
 
 
 def test_membership():
     ambient = Ambient(ZZ, (2,), ("v",))
     sub = SubobjectData(ambient, [(2, 0)])
-    assert subobject_op("membership", sub, (4, 0))
-    assert not subobject_op("membership", sub, (1, 0))
+    assert sub.contains_vector((4, 0))
+    assert not sub.contains_vector((1, 0))
 
 
 def test_ambient_mismatch():
@@ -247,6 +248,41 @@ def test_complement_coordinates_are_classes():
             assert (cx == sub.complement_coordinates(y)) == same_class
 
 
+def test_partner_completes_heads_of_the_projection():
+    rng = random.Random(4343)
+    for ring in (QQ, GF(5), ZZ):
+        found = missing = 0
+        for _ in range(80):
+            k, m = rng.randint(1, 3), rng.randint(0, 3)
+            relations = []
+            if ring == ZZ:
+                for lo, hi in ((0, k), (k, k + m)):
+                    for j in range(lo, hi):
+                        if rng.random() < 0.4:
+                            row = [0] * (k + m)
+                            row[j] = rng.randint(2, 4)
+                            relations.append(tuple(row))
+            ambient = Ambient(ring, (k, m), ("s", "t"), relations)
+            gens = [tuple(rng.randint(-3, 3) for _ in range(k + m))
+                    for _ in range(rng.randint(0, 3))]
+            sub = SubobjectData(ambient, gens)
+            head = combination(ring, [rng.randint(-2, 2) for _ in gens],
+                               [g[:k] for g in gens], k)
+            if rng.random() < 0.5:
+                head = tuple(ring.add(x, ring.coerce(rng.randint(-2, 2)))
+                             for x in head)
+            projection = [g[:k] for g in gens] + [r[:k] for r in relations]
+            expected = in_span_reference(ring, projection, head, k)
+            partner = sub.partner(head)
+            assert (partner is not None) == expected
+            if partner is not None:
+                assert len(partner) == m
+                assert sub.contains_vector(tuple(head) + partner)
+            found += expected
+            missing += not expected
+        assert found and missing
+
+
 def count_calls(monkeypatch, *names):
     """Count calls of the named ``linalg`` functions made through any
     module of the package that binds them."""
@@ -291,18 +327,53 @@ def test_field_membership_runs_no_elimination(monkeypatch):
         monkeypatch.undo()
 
 
-def test_partner_solve_computes_no_kernel(monkeypatch):
-    delta = DiagramEmbedding(A3, QQ)
-    f = compose(delta.morphism("a"), delta.morphism("b"))
+def count_theta_evaluations(monkeypatch, *thetas):
+    """Count the evaluations of the given formulas made by ``abcat``."""
+    counts = [0]
+    original = abcat.evaluate
+
+    def counting(formula, representation):
+        counts[0] += formula in thetas
+        return original(formula, representation)
+    monkeypatch.setattr(abcat, "evaluate", counting)
+    return counts
+
+
+def uniform_representation(rng, quiver, ring, dim, relations=None):
+    """Every fiber has ``dim`` generators and the same relations, so every
+    arrow matrix descends."""
+    fibers = {v: Fiber(ring, dim, relations) for v in quiver.vertices}
+    mats = {a.name: ConcreteMatrix(
+        ring, [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+        for a in quiver.arrows}
+    return Representation(quiver, ring, fibers, mats)
+
+
+def test_pp_route_evaluates_theta_once_and_solves_nothing(monkeypatch):
     rng = random.Random(53)
-    for _ in range(4):
-        t = random_representation(rng, A3, QQ, max_dim=2)
-        qp_src, qp_tgt = abcat._value_presentations(f, t)
-        ba = t.arrow_matrix("b").mul(t.arrow_matrix("a"))
-        counts = count_calls(monkeypatch, "kernel", "field_kernel")
-        for row in qp_src.generators:
-            image = abcat._partner_solve(f.theta, f.source, f.target, t, row)
-            assert qp_tgt.classes_equal(qp_tgt.class_vector(image),
-                                        qp_tgt.class_vector(ba.apply(row)))
-        assert counts == {"kernel": 0, "field_kernel": 0}
-        monkeypatch.undo()
+    # (ring, exponent of every fiber): torsion fibers (Z/3)^dim over Z
+    for ring, exponent in ((QQ, 0), (GF(5), 0), (ZZ, 0), (ZZ, 3)):
+        delta = DiagramEmbedding(A3, ring)
+        f = compose(delta.morphism("a"), delta.morphism("b"))
+        g = compose(f, abcat.identity_morphism(f.target))
+        for dim in range(1, 5):
+            relations = None
+            if exponent:
+                relations = ConcreteMatrix.identity(ZZ, dim).scale(exponent)
+            t = uniform_representation(rng, A3, ring, dim, relations)
+            ba = t.arrow_matrix("b").mul(t.arrow_matrix("a"))
+            counts = count_calls(monkeypatch, "field_solve", "integer_solve")
+            thetas = count_theta_evaluations(monkeypatch, f.theta)
+            qp_src, qp_tgt, matrix = abcat.evaluate_morphism(f, t)
+            assert thetas == [1]
+            thetas_fg = count_theta_evaluations(monkeypatch, f.theta,
+                                                g.theta)
+            assert abcat.equal_in_quotient(f, g, t)
+            assert thetas_fg == [2]
+            assert counts == {"field_solve": 0, "integer_solve": 0}
+            monkeypatch.undo()
+            assert matrix.cols == len(qp_src.class_representatives()) >= 1
+            for row in qp_src.generators:
+                assert qp_tgt.classes_equal(
+                    matrix.apply(qp_src.class_vector(row)),
+                    qp_tgt.class_vector(ba.apply(row)))
