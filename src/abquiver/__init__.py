@@ -28,8 +28,7 @@ from .fpmodules import (ElementTuple, FpModule, FpMorphism,
 from .linalg import ConcreteMatrix, smith_normal_form, solve
 from .nori import (NoriDiagram, PairsCategoryData, build_nori_diagram,
                    check_les_exactness, homology_representation)
-from .quivers import (AlgebraElement, Path, Quiver, TypedMatrix, is_acyclic,
-                      path_basis)
+from .quivers import AlgebraElement, Path, Quiver, TypedMatrix, path_basis
 from .representations import Fiber, Representation
 from .scalars import GF, QQ, ZZ, PrimeField, ScalarRing, ring_from_tag
 from .simplicial import (RelativeHomology, SimplicialComplex, SimplicialMap,

@@ -30,15 +30,27 @@ class ConcreteMatrix:
         self.entries = entries
 
     @classmethod
+    def _computed(cls, ring, grid, rows, cols):
+        """A rows x cols matrix on a grid of scalars of ``ring`` that this
+        module computed itself: no coercion and no shape check."""
+        matrix = object.__new__(cls)
+        matrix.ring = ring
+        matrix.rows = rows
+        matrix.cols = cols
+        matrix.entries = tuple(map(tuple, grid))
+        return matrix
+
+    @classmethod
     def identity(cls, ring, n):
         one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+        return cls._computed(ring, [[one if i == j else zero
+                                     for j in range(n)] for i in range(n)],
+                             n, n)
 
     @classmethod
     def zeros(cls, ring, rows, cols):
         zero = ring.zero()
-        return cls(ring, [[zero] * cols for _ in range(rows)], rows, cols)
+        return cls._computed(ring, [(zero,) * cols] * rows, rows, cols)
 
     @classmethod
     def from_columns(cls, ring, columns, rows):
@@ -70,10 +82,8 @@ class ConcreteMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return ConcreteMatrix(self.ring,
-                              [[self.entries[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)],
-                              self.cols, self.rows)
+        grid = zip(*self.entries) if self.rows else [()] * self.cols
+        return ConcreteMatrix._computed(self.ring, grid, self.cols, self.rows)
 
     def is_zero(self):
         z = self.ring.is_zero
@@ -82,16 +92,16 @@ class ConcreteMatrix:
     def add(self, other):
         self._check_same_shape(other)
         add = self.ring.add
-        return ConcreteMatrix(self.ring,
-                              [[add(a, b) for a, b in zip(ra, rb)]
-                               for ra, rb in zip(self.entries, other.entries)],
-                              self.rows, self.cols)
+        return ConcreteMatrix._computed(
+            self.ring, [[add(a, b) for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.entries, other.entries)],
+            self.rows, self.cols)
 
     def neg(self):
         neg = self.ring.neg
-        return ConcreteMatrix(self.ring,
-                              [[neg(x) for x in row] for row in self.entries],
-                              self.rows, self.cols)
+        return ConcreteMatrix._computed(
+            self.ring, [[neg(x) for x in row] for row in self.entries],
+            self.rows, self.cols)
 
     def sub(self, other):
         return self.add(other.neg())
@@ -99,9 +109,9 @@ class ConcreteMatrix:
     def scale(self, c):
         c = self.ring.coerce(c)
         mul = self.ring.mul
-        return ConcreteMatrix(self.ring,
-                              [[mul(c, x) for x in row] for row in self.entries],
-                              self.rows, self.cols)
+        return ConcreteMatrix._computed(
+            self.ring, [[mul(c, x) for x in row] for row in self.entries],
+            self.rows, self.cols)
 
     def mul(self, other):
         check_same_ring(self.ring, other.ring)
@@ -119,7 +129,7 @@ class ConcreteMatrix:
                     acc = add(acc, mul(self.entries[i][k], other.entries[k][j]))
                 row.append(acc)
             out.append(row)
-        return ConcreteMatrix(ring, out, self.rows, other.cols)
+        return ConcreteMatrix._computed(ring, out, self.rows, other.cols)
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -143,21 +153,21 @@ class ConcreteMatrix:
     def hstack(self, other):
         self._check(other.rows == self.rows, "row count mismatch in hstack")
         check_same_ring(self.ring, other.ring)
-        return ConcreteMatrix(self.ring,
-                              [ra + rb for ra, rb in
-                               zip(self.entries, other.entries)],
-                              self.rows, self.cols + other.cols)
+        return ConcreteMatrix._computed(
+            self.ring, [a + b for a, b in zip(self.entries, other.entries)],
+            self.rows, self.cols + other.cols)
 
     def vstack(self, other):
         self._check(other.cols == self.cols, "column count mismatch in vstack")
         check_same_ring(self.ring, other.ring)
-        return ConcreteMatrix(self.ring, self.entries + other.entries,
-                              self.rows + other.rows, self.cols)
+        return ConcreteMatrix._computed(
+            self.ring, self.entries + other.entries, self.rows + other.rows,
+            self.cols)
 
     def take_columns(self, indices):
-        return ConcreteMatrix(self.ring,
-                              [[row[j] for j in indices] for row in self.entries],
-                              self.rows, len(indices))
+        return ConcreteMatrix._computed(
+            self.ring, [[row[j] for j in indices] for row in self.entries],
+            self.rows, len(indices))
 
     def _check_same_shape(self, other):
         check_same_ring(self.ring, other.ring)
@@ -183,7 +193,7 @@ def block_diagonal(ring, blocks):
                 grid[r + i][c + j] = b.entries[i][j]
         r += b.rows
         c += b.cols
-    return ConcreteMatrix(ring, grid, rows, cols)
+    return ConcreteMatrix._computed(ring, grid, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +269,16 @@ def field_solve(matrix, b):
 
 def _snf_pivot(entries, m, n, t):
     """Position of the minimal-|value| nonzero entry of the trailing block,
-    ties broken by smallest row index then smallest column index."""
+    ties broken by smallest row index then smallest column index.  The scan
+    runs in that order, so the first unit found is the answer."""
     best = None
     for i in range(t, m):
+        row = entries[i]
         for j in range(t, n):
-            v = entries[i][j]
-            if v != 0 and (best is None or abs(v) < best[0]):
+            v = row[j]
+            if v and (best is None or abs(v) < best[0]):
+                if v in (1, -1):
+                    return i, j
                 best = (abs(v), i, j)
     return None if best is None else (best[1], best[2])
 
@@ -272,8 +286,9 @@ def _snf_pivot(entries, m, n, t):
 def smith_normal_form(matrix):
     """Smith normal form of an integer matrix.
 
-    Returns (U, D, V) with U*A*V = D, U and V unimodular and D diagonal with
-    each diagonal entry dividing the next.  Total on integer matrices.
+    Returns (U, D, V, W) with U*A*V = D, U and V unimodular, W the inverse
+    of V, and D diagonal with each diagonal entry dividing the next.  Total
+    on integer matrices.
     """
     if matrix.ring != ZZ:
         raise MismatchError("Smith normal form requires integer entries")
@@ -281,16 +296,18 @@ def smith_normal_form(matrix):
     d = [list(r) for r in matrix.entries]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [list(row) for row in v]  # stays the inverse of v
 
     def row_op(i, j, q):  # row_i -= q * row_j
         d[i] = [a - q * b for a, b in zip(d[i], d[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j; inversely row_j += q * row_i
         for row in d:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        w[j] = [a + q * b for a, b in zip(w[j], w[i])]
 
     def swap_rows(i, j):
         if i != j:
@@ -303,6 +320,7 @@ def smith_normal_form(matrix):
                 row[i], row[j] = row[j], row[i]
             for row in v:
                 row[i], row[j] = row[j], row[i]
+            w[i], w[j] = w[j], w[i]
 
     t = 0
     while True:
@@ -334,6 +352,8 @@ def smith_normal_form(matrix):
             if dirty:
                 continue
             # Pivot must divide every remaining entry; fold offenders in.
+            if d[t][t] in (1, -1):
+                break
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -350,17 +370,16 @@ def smith_normal_form(matrix):
             u[t] = [-x for x in u[t]]
         t += 1
 
-    ring = ZZ
-    return (ConcreteMatrix(ring, u, m, m),
-            ConcreteMatrix(ring, d, m, n),
-            ConcreteMatrix(ring, v, n, n))
+    computed = ConcreteMatrix._computed
+    return (computed(ZZ, u, m, m), computed(ZZ, d, m, n),
+            computed(ZZ, v, n, n), computed(ZZ, w, n, n))
 
 
 def integer_kernel(matrix):
     """Basis of the kernel lattice {x in Z^n : A x = 0} (list of tuples)."""
     if matrix.ring != ZZ:
         raise MismatchError("integer kernel requires integer entries")
-    _, d, v = smith_normal_form(matrix)
+    _, d, v, _ = smith_normal_form(matrix)
     m, n = matrix.rows, matrix.cols
     basis = []
     for j in range(n):
@@ -375,7 +394,7 @@ def integer_solve(matrix, b):
         raise MismatchError("integer solve requires integer entries")
     if len(b) != matrix.rows:
         raise MismatchError("rhs length %d, expected %d" % (len(b), matrix.rows))
-    u, d, v = smith_normal_form(matrix)
+    u, d, v, _ = smith_normal_form(matrix)
     c = u.apply(tuple(int(x) for x in b))
     m, n = matrix.rows, matrix.cols
     y = [0] * n

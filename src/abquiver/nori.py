@@ -165,7 +165,7 @@ def homology_representation(data, diagram, ring):
                                                         degree))
                     for gen in src.generator_chains()]
         matrices[aname] = ConcreteMatrix.from_columns(
-            ring, cols, tgt.presentation.class_dim)
+            ring, cols, tgt.dim)
     return Representation(diagram.quiver, ring, fibers, matrices)
 
 

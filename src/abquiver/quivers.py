@@ -122,10 +122,6 @@ class Quiver:
                                                    len(self.arrows))
 
 
-def is_acyclic(quiver):
-    return quiver.is_acyclic()
-
-
 class Path:
     """A composable arrow sequence, stored leftmost-acts-last; the empty
     path at a vertex is that vertex's local identity."""

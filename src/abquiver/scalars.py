@@ -62,9 +62,6 @@ class ScalarRing:
     def invert(self, a):
         raise EngineError("%s is not a field" % self.name)
 
-    def format(self, a):
-        return str(a)
-
     def parse(self, text):
         raise NotImplementedError
 
@@ -103,9 +100,6 @@ class RationalField(ScalarRing):
         if a == 0:
             raise EngineError("division by zero in Q")
         return 1 / Fraction(a)
-
-    def format(self, a):
-        return str(a)
 
     def parse(self, text):
         try:

@@ -70,7 +70,7 @@ def invariants_of_presentation(n_generators, relation_columns):
         return QuotientInvariants(n_generators)
     mat = ConcreteMatrix(ZZ, [[col[i] for col in relation_columns]
                               for i in range(n_generators)])
-    _, d, _ = smith_normal_form(mat)
+    _, d, _, _ = smith_normal_form(mat)
     rank = 0
     torsion = []
     for i in range(min(d.rows, d.cols)):

@@ -249,25 +249,21 @@ def f2_solution_generators(formula, rep_dims, rep_arrows):
     mask = (1 << ctx_dim) - 1
     return [k & mask for k in kernel], ctx_dim
 
-def f2_vector_satisfies(formula, rep_dims, rep_arrows, vector_mask):
-    """Membership of a context vector in the solution set."""
-    rows, ctx_dim, width = f2_formula_system(formula, rep_dims, rep_arrows)
-    bound_width = width - ctx_dim
-    ctx_mask = (1 << ctx_dim) - 1
-    solve_rows = []
-    rhs = []
-    for r in rows:
-        a_part = r & ctx_mask
-        b_part = r >> ctx_dim
-        solve_rows.append(b_part)
-        rhs.append(bin(a_part & vector_mask).count("1") % 2)
-    return f2_solve_mask(solve_rows, bound_width, rhs) is not None
-
 
 def f2_implication_holds(phi, psi, rep_dims, rep_arrows):
+    """Every generator of phi's solutions satisfies psi: psi's system,
+    built once, is solvable in its bound variables with the generator as
+    context."""
     gens, _ = f2_solution_generators(phi, rep_dims, rep_arrows)
-    return all(f2_vector_satisfies(psi, rep_dims, rep_arrows, g)
-               for g in gens)
+    rows, ctx_dim, width = f2_formula_system(psi, rep_dims, rep_arrows)
+    ctx_mask = (1 << ctx_dim) - 1
+    a_parts = [r & ctx_mask for r in rows]
+    b_parts = [r >> ctx_dim for r in rows]
+    for g in gens:
+        rhs = [bin(a & g).count("1") % 2 for a in a_parts]
+        if f2_solve_mask(b_parts, width - ctx_dim, rhs) is None:
+            return False
+    return True
 
 
 def all_f2_bitmask_representations(quiver, max_dim):

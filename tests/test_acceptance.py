@@ -454,7 +454,7 @@ def test_criterion_8_linalg_kernel():
         cols = rng.randint(1, 6)
         a = ConcreteMatrix(ZZ, [[rng.randint(-9, 9) for _ in range(cols)]
                                 for _ in range(rows)], rows, cols)
-        u, d, v = smith_normal_form(a)
+        u, d, v, _ = smith_normal_form(a)
         assert u.mul(a).mul(v) == d
         assert abs(int_det(u.entries)) == 1
         assert abs(int_det(v.entries)) == 1

@@ -23,8 +23,9 @@ def diagonal_of(d):
 
 
 def check_snf_contract(a):
-    u, d, v = smith_normal_form(a)
+    u, d, v, w = smith_normal_form(a)
     assert u.mul(a).mul(v) == d
+    assert v.mul(w) == ConcreteMatrix.identity(ZZ, a.cols)
     assert abs(int_det(u.entries)) == 1
     assert abs(int_det(v.entries)) == 1
     diag = diagonal_of(d)
@@ -48,7 +49,7 @@ def check_snf_contract(a):
 
 def test_snf_zero_matrix():
     a = mat(ZZ, [[0]])
-    u, d, v = smith_normal_form(a)
+    u, d, v, _ = smith_normal_form(a)
     assert d.entries == ((0,),)
     assert u.entries == ((1,),)
     assert v.entries == ((1,),)
@@ -79,6 +80,25 @@ def test_snf_random_contract_and_oracle():
         diag = check_snf_contract(a)
         expected = invariant_factors_by_minors(rows, cols, a.entries)
         assert [x for x in diag if x != 0] == expected
+
+
+def test_snf_inverse_transform_on_seeded_matrices():
+    rng = random.Random(20261021)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(200)]
+    for rows, cols in shapes:
+        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            grid[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in grid:
+                row[j] = 0
+        a = ConcreteMatrix(ZZ, grid, rows, cols)
+        u, d, v, w = smith_normal_form(a)
+        assert u.mul(a).mul(v) == d
+        assert v.mul(w) == ConcreteMatrix.identity(ZZ, cols)
+        assert w.mul(v) == ConcreteMatrix.identity(ZZ, cols)
 
 
 def test_snf_requires_integers():

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from abquiver.errors import CyclicQuiverUnsupported, EngineError, MismatchError
-from abquiver.quivers import (AlgebraElement, Quiver, TypedMatrix,
-                              is_acyclic, path_basis)
+from abquiver.quivers import AlgebraElement, Quiver, TypedMatrix, path_basis
 from abquiver.scalars import GF, QQ, ZZ
 
 
@@ -64,12 +63,12 @@ def test_path_order_by_length_then_arrow_index():
 
 
 def test_is_acyclic():
-    assert is_acyclic(A2)
+    assert A2.is_acyclic()
     loop = Quiver(["1"], [("l", "1", "1")])
-    assert not is_acyclic(loop)
+    assert not loop.is_acyclic()
     cyc = Quiver(["1", "2", "3"],
                  [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
-    assert not is_acyclic(cyc)
+    assert not cyc.is_acyclic()
 
 
 def test_cycle_reported():
