@@ -15,8 +15,10 @@ it induces on values, read off the one subobject theta(T) of the product of
 the source and target tops at T: each class representative of the source
 value has a partner in theta(T), found in its stored echelon rows, and the
 partner's class in the target value is one column of the induced matrix.
-A morphism with a presenting map can also be evaluated by applying that
-map, and the two routes must agree too.
+Class vectors are canonical over either ring (see
+``subobjects.QuotientPresentation``), so two induced maps agree exactly
+when their matrices are equal.  A morphism with a presenting map can also
+be evaluated by applying that map, and the two routes must agree too.
 """
 
 from .errors import (EngineError, InvalidMorphism, MismatchError,
@@ -434,18 +436,12 @@ def _class_matrix(f, representation, route, qp_src, qp_tgt):
     return ConcreteMatrix.from_columns(f.source.ring, cols, qp_tgt.class_dim)
 
 
-def _same_class_matrices(qp_tgt, first, second):
-    return all(qp_tgt.classes_equal(a, b)
-               for a, b in zip(first.columns(), second.columns()))
-
-
 def morphism_routes_agree(f, representation):
     """Whether the pp route and the presentation route induce the same map."""
     qp_src, qp_tgt = _value_presentations(f, representation)
-    return _same_class_matrices(
-        qp_tgt,
-        _class_matrix(f, representation, "pp", qp_src, qp_tgt),
-        _class_matrix(f, representation, "presentation", qp_src, qp_tgt))
+    return (_class_matrix(f, representation, "pp", qp_src, qp_tgt)
+            == _class_matrix(f, representation, "presentation", qp_src,
+                             qp_tgt))
 
 
 def equal_in_quotient(f, g, representation):
@@ -453,10 +449,8 @@ def equal_in_quotient(f, g, representation):
     if f.source != g.source or f.target != g.target:
         raise MismatchError("endpoint mismatch")
     qp_src, qp_tgt = _value_presentations(f, representation)
-    return _same_class_matrices(
-        qp_tgt,
-        _class_matrix(f, representation, "pp", qp_src, qp_tgt),
-        _class_matrix(g, representation, "pp", qp_src, qp_tgt))
+    return (_class_matrix(f, representation, "pp", qp_src, qp_tgt)
+            == _class_matrix(g, representation, "pp", qp_src, qp_tgt))
 
 
 def is_zero_object_all(obj):

@@ -436,12 +436,16 @@ def hermite_normal_form(rows, width):
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows are dropped.  Two generating sets span the same lattice iff
-    their HNFs are equal.
+    their HNFs are equal.  Entries are coerced into Z, so non-integral ones
+    are rejected.
     """
-    work = [list(int(x) for x in r) for r in rows if any(r)]
-    for r in work:
+    work = []
+    for r in rows:
         if len(r) != width:
             raise MismatchError("row length %d, expected %d" % (len(r), width))
+        r = list(map(ZZ.coerce, r))
+        if any(r):
+            work.append(r)
     result = []
     col = 0
     while col < width and work:

@@ -4,20 +4,19 @@ homology.
 Faces are stored as frozensets of vertex labels, closed downward; chain
 bases order the d-faces by their sorted vertex tuples and the boundary of an
 ordered face alternates signs (-1)^k on vertex deletion.  Homology of a pair
-is computed inside the relative chain spaces (faces of X not in Y) and is
-carried around as class coordinates: one generator cycle per coordinate and
-the class vector of any relative cycle.  Over a field the coordinates are a
-complement of the boundaries in the cycles.  Over Z they come from the Smith
-form of the boundaries written in the cycle basis: one coordinate per
-invariant factor other than 1, torsion first, so a fiber is presented by its
-invariant factors alone, with one diagonal relation per torsion factor.
+is the subquotient cycles/boundaries of the relative chain spaces (faces of
+X not in Y), carried around in the class coordinates that
+``subobjects.QuotientPresentation`` gives it over either ring: one
+generator cycle per coordinate and the canonical class vector of any
+relative cycle.  Over Z there is one coordinate per invariant factor other
+than 1, torsion first, so a fiber is presented by its invariant factors
+alone, with one diagonal relation per torsion factor.
 """
 
 from .errors import EngineError
-from .linalg import ConcreteMatrix, smith_normal_form
+from .linalg import ConcreteMatrix
 from .representations import Fiber
-from .subobjects import (Ambient, QuotientInvariants, QuotientPresentation,
-                         SubobjectData)
+from .subobjects import Ambient, QuotientPresentation, SubobjectData
 
 
 class SimplicialComplex:
@@ -211,17 +210,9 @@ def chain_map_matrix(smap, d, ring):
 
 
 class RelativeHomology:
-    """H_d of a pair: one generator cycle per class coordinate, the class
-    vector of any relative cycle, and over Z the invariant factor d > 1 of
-    each torsion coordinate (``torsion``); ``dim`` counts the coordinates.
-
-    Over Z the boundaries' coordinates in the cycle basis are the rows of a
-    relation matrix R with Smith form U R V = D.  Coordinates c of a cycle
-    become c V, in which the relations are the diagonal of D; the
-    coordinates whose d is 1 are dropped, the torsion ones come first and
-    are reduced into [0, d), so equal classes have equal vectors.  Row j of
-    V^-1 gives the cycle whose class is the j-th unit vector.
-    """
+    """H_d of a pair: the subquotient cycles/boundaries of the relative
+    d-chains, in the class coordinates of its ``QuotientPresentation``;
+    ``dim`` counts the coordinates."""
 
     def __init__(self, pair, degree, ring):
         self.pair = pair
@@ -232,57 +223,26 @@ class RelativeHomology:
         cycles = ambient.kernel(boundary_matrix(pair, degree, ring))
         bd_up = boundary_matrix(pair, degree + 1, ring)
         boundaries = SubobjectData(ambient, bd_up.transpose().entries)
-        if ring.is_field:
-            self._presentation = QuotientPresentation(cycles, boundaries)
-            self._generators = self._presentation.class_representatives()
-            self.torsion = ()
-            self.dim = len(self._generators)
-            return
-        self._cycles = cycles
-        k = cycles.rank
-        relations = ConcreteMatrix._computed(
-            ring, [cycles.coordinates(row) for row in boundaries.rows],
-            boundaries.rank, k)
-        _, d, v, v_inv = smith_normal_form(relations)
-        diagonal = [d[i, i] for i in range(min(d.rows, k))]
-        units = diagonal.count(1)
-        self.torsion = tuple(x for x in diagonal[units:] if x)
-        self.dim = k - units
-        self._class_columns = [v.column(j) for j in range(units, k)]
-        chain_columns = list(zip(*cycles.rows))
-        self._generators = [
-            tuple(sum(a * b for a, b in zip(v_inv.row(j), col))
-                  for col in chain_columns)
-            for j in range(units, k)]
+        self._presentation = QuotientPresentation(cycles, boundaries)
+        self.dim = self._presentation.class_dim
 
     def fiber(self):
-        relations = None
-        if self.torsion:
-            relations = ConcreteMatrix.from_columns(
-                self.ring, [[x if i == t else 0 for i in range(self.dim)]
-                            for t, x in enumerate(self.torsion)], self.dim)
+        rows = self._presentation.relation_rows
+        relations = (ConcreteMatrix.from_columns(self.ring, rows, self.dim)
+                     if rows else None)
         return Fiber(self.ring, self.dim, relations)
 
     def generator_chains(self):
         """One representative cycle per class coordinate: its class is the
         unit vector of that coordinate."""
-        return self._generators
+        return self._presentation.class_representatives()
 
     def class_of_chain(self, vector):
         """Class vector of a relative cycle, canonical on its class."""
-        if self.ring.is_field:
-            return self._presentation.class_vector(vector)
-        coords = self._cycles.coordinates(vector)
-        if coords is None:
-            raise EngineError("chain is not a relative cycle")
-        out = [sum(a * b for a, b in zip(coords, col))
-               for col in self._class_columns]
-        for t, x in enumerate(self.torsion):
-            out[t] %= x
-        return tuple(out)
+        return self._presentation.class_vector(vector)
 
     def invariants(self):
-        return QuotientInvariants(self.dim - len(self.torsion), self.torsion)
+        return self._presentation.invariants()
 
 
 def connecting_chain(ring, pair_xy, pair_yz, cycle_vector, degree):

@@ -11,9 +11,14 @@ Either way the stored rows are canonical echelon rows with known pivots, and
 every question about an element is read off them: its coordinates (None
 outside the subobject), hence membership, over a field its class modulo
 the subspace, and for a vector of the leading coordinates a partner that
-completes it to an element.  ``QuotientPresentation`` stores its relations
-the same way, once, so class vectors and zero tests run no further
-elimination.
+completes it to an element.
+
+``QuotientPresentation`` is the one presentation of a subquotient
+larger/smaller over either ring, in canonical class coordinates: the
+complement of the relations' RREF pivots over a field, and over Z the
+coordinates of the relations' Smith form whose invariant factor is not 1,
+torsion first and reduced modulo its factor.  Equal classes have equal
+class vectors, so comparing classes runs no elimination.
 
 Every value computed at a representation is one kernel: the vectors x of an
 ambient for which a matrix sends (x, y) to zero in a presented target, for
@@ -160,14 +165,14 @@ class SubobjectData:
     def __init__(self, ambient, generator_rows):
         self.ambient = ambient
         ring = ambient.ring
-        gens = ConcreteMatrix(ring, generator_rows, cols=ambient.dim)
         if ring.is_field:
-            reduced, pivots = rref(gens)
+            reduced, pivots = rref(
+                ConcreteMatrix(ring, generator_rows, cols=ambient.dim))
             self.rows = tuple(tuple(r) for r in reduced)
             self.pivots = tuple(pivots)
         else:
             self.rows = hermite_normal_form(
-                gens.entries + ambient.relation_rows, ambient.dim)
+                [*generator_rows, *ambient.relation_rows], ambient.dim)
             self.pivots = tuple(next(j for j, x in enumerate(r) if x != 0)
                                 for r in self.rows)
 
@@ -315,14 +320,22 @@ def _project_relations(ambient, keep, cols):
 
 
 class QuotientPresentation:
-    """Explicit coordinates on larger/smaller: a generator basis (the rows of
-    the larger subobject) plus relation rows expressing the smaller one in
-    those coordinates, stored once in canonical form as ``relations``.
-    Supplies class vectors for concrete elements so that induced maps
-    between quotients become honest matrices."""
+    """The subquotient larger/smaller in canonical class coordinates.
 
-    __slots__ = ("ambient", "larger", "smaller", "generators",
-                 "relation_rows", "relations", "class_dim")
+    The rows of the smaller subobject, written in the stored rows of the
+    larger one (``generators``), are the relations.  Over a field a class
+    is its coordinates reduced by the relations' RREF, read at the columns
+    that are not pivots.  Over Z the relation matrix R has Smith form
+    U R V = D: a class with coordinates c is c V, the coordinates whose d
+    is 1 are dropped, the torsion ones come first and are reduced into
+    [0, d).  Either way equal classes have equal class vectors, each class
+    representative has a unit class vector, and ``relation_rows`` has one
+    diagonal row per invariant factor d > 1 (``torsion``).
+    """
+
+    __slots__ = ("ambient", "larger", "smaller", "generators", "torsion",
+                 "relation_rows", "class_dim", "_relations", "_class_columns",
+                 "_representatives")
 
     def __init__(self, larger, smaller):
         if larger.ambient != smaller.ambient:
@@ -335,39 +348,55 @@ class QuotientPresentation:
         self.smaller = smaller
         ring = self.ambient.ring
         self.generators = larger.rows
-        self.relations = SubobjectData(
-            Ambient(ring, (len(self.generators),)), coords)
+        k = len(self.generators)
         if ring.is_field:
-            self.relation_rows = self.relations.rows
-            self.class_dim = len(self.generators) - self.relations.rank
+            self._relations = SubobjectData(Ambient(ring, (k,)), coords)
+            pivots = set(self._relations.pivots)
+            self._representatives = [g for j, g in enumerate(self.generators)
+                                     if j not in pivots]
+            self.torsion = ()
         else:
-            self.relation_rows = tuple(coords)
-            self.class_dim = len(self.generators)
+            _, d, v, v_inv = smith_normal_form(
+                ConcreteMatrix._computed(ZZ, coords, len(coords), k))
+            diagonal = [d[i, i] for i in range(min(d.rows, k))]
+            units = diagonal.count(1)
+            self.torsion = tuple(x for x in diagonal[units:] if x)
+            self._class_columns = [v.column(j) for j in range(units, k)]
+            columns = list(zip(*self.generators))
+            self._representatives = [
+                tuple(sum(a * b for a, b in zip(v_inv.row(j), col))
+                      for col in columns)
+                for j in range(units, k)]
+        self.class_dim = len(self._representatives)
+        self.relation_rows = tuple(
+            tuple(x if i == t else 0 for i in range(self.class_dim))
+            for t, x in enumerate(self.torsion))
 
     def class_vector(self, vector):
-        """Coordinates of the class of an ambient vector of the larger
-        subobject: reduced coordinates over a field, raw generator
-        coordinates over Z (compare modulo relation_rows)."""
+        """The canonical class vector of an ambient vector of the larger
+        subobject."""
         coords = self.larger.coordinates(vector)
         if coords is None:
             raise EngineError("vector outside the larger subobject")
         if self.ambient.ring.is_field:
-            return self.relations.complement_coordinates(coords)
-        return coords
+            return self._relations.complement_coordinates(coords)
+        out = [sum(a * b for a, b in zip(coords, col))
+               for col in self._class_columns]
+        for t, x in enumerate(self.torsion):
+            out[t] %= x
+        return tuple(out)
 
     def class_representatives(self):
         """One ambient vector per class coordinate: applying class_vector to
         the k-th representative yields the k-th unit class vector."""
-        if not self.ambient.ring.is_field:
-            return list(self.generators)
-        pivots = set(self.relations.pivots)
-        return [g for k, g in enumerate(self.generators) if k not in pivots]
+        return self._representatives
 
     def is_zero_class(self, class_vector):
-        ring = self.ambient.ring
-        if ring.is_field:
-            return all(ring.is_zero(x) for x in class_vector)
-        return self.relations.contains_vector(class_vector)
+        """Whether every coordinate is 0 once each torsion coordinate is
+        reduced modulo its invariant factor."""
+        t = len(self.torsion)
+        return not (any(x % d for x, d in zip(class_vector, self.torsion))
+                    or any(class_vector[t:]))
 
     def classes_equal(self, first, second):
         diff = tuple(self.ambient.ring.sub(a, b)
@@ -375,8 +404,5 @@ class QuotientPresentation:
         return self.is_zero_class(diff)
 
     def invariants(self):
-        ring = self.ambient.ring
-        if ring.is_field:
-            return QuotientInvariants(self.class_dim)
-        return invariants_of_presentation(self.class_dim, self.relation_rows)
-
+        return QuotientInvariants(self.class_dim - len(self.torsion),
+                                  self.torsion)

@@ -180,6 +180,36 @@ def test_evaluate_morphism_over_z_with_torsion_in_the_target():
     assert not equal_in_quotient(da, zero_morphism(da.source, da.target), t)
 
 
+def test_equal_in_quotient_over_z_reduces_torsion_classes():
+    # Z/2 -> Z/4 by [[2]]: 2 Delta(a) sends the generator to 4 = 0 mod 4.
+    t = Representation(A2, ZZ,
+                       {"1": Fiber(ZZ, 1, ConcreteMatrix(ZZ, [[2]])),
+                        "2": Fiber(ZZ, 1, ConcreteMatrix(ZZ, [[4]]))},
+                       {"a": ConcreteMatrix(ZZ, [[2]])})
+    da = DiagramEmbedding(A2, ZZ).morphism("a")
+    twice = add_morphisms(da, da)
+    zero = zero_morphism(da.source, da.target)
+    assert evaluate_morphism(twice, t)[2] == ConcreteMatrix(ZZ, [[0]])
+    assert equal_in_quotient(twice, zero, t)
+    assert not equal_in_quotient(da, zero, t)
+    # Z^2/<(1, 2)> has the invariant factor 1 and one class coordinate.
+    t = Representation(A2, ZZ,
+                       {"1": Fiber(ZZ, 2, ConcreteMatrix(ZZ, [[1], [2]])),
+                        "2": Fiber(ZZ, 1)},
+                       {"a": ConcreteMatrix(ZZ, [[2, -1]])})
+    qp_src, qp_tgt, matrix = evaluate_morphism(da, t)
+    assert qp_src.class_dim == 1
+    assert qp_src.invariants() == QuotientInvariants(1)
+    assert (matrix.rows, matrix.cols) == (1, 1)
+    arrow = t.arrow_matrix("a")
+    for e in ((1, 0), (0, 1)):
+        assert matrix.apply(qp_src.class_vector(e)) \
+            == qp_tgt.class_vector(arrow.apply(e))
+    assert equal_in_quotient(da, compose(identity_morphism(da.source), da),
+                             t)
+    assert not equal_in_quotient(da, zero, t)
+
+
 def test_direct_sum_evaluation_adds():
     rng = random.Random(53)
     obj1 = coker_of_a(QQ)

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -107,6 +108,17 @@ def test_subgroup_arithmetic_in_presented_ambient():
     full = ambient.full()
     assert full.quotient_by(sub) == QuotientInvariants(1, (2,))
     assert full.quotient_by(full).is_trivial()
+
+
+def test_integer_generators_are_checked_once_coerced():
+    ambient = Ambient(ZZ, (2,), ("v",))
+    assert SubobjectData(ambient, [(Fraction(4, 2), 0)]) \
+        == SubobjectData(ambient, [(2, 0)])
+    for bad in ([(Fraction(1, 2), 0)], [(0, 0, 0)], [(1, 0), (0,)]):
+        with pytest.raises(MismatchError):
+            SubobjectData(ambient, bad)
+        with pytest.raises(MismatchError):
+            hermite_normal_form(bad, 2)
 
 
 def test_projection():
@@ -283,6 +295,53 @@ def test_partner_completes_heads_of_the_projection():
         assert found and missing
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5), ZZ], ids=str)
+def test_class_vectors_are_canonical(ring):
+    rng = random.Random(4444)
+    zero = nonzero = 0
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        relations = []
+        if ring == ZZ:  # torsion in the ambient itself
+            for j in range(dim):
+                if rng.random() < 0.4:
+                    relations.append(tuple(rng.randint(2, 6) if i == j else 0
+                                           for i in range(dim)))
+        ambient = Ambient(ring, (dim,), ("v",), relations)
+        larger = SubobjectData(ambient, [
+            tuple(rng.randint(-3, 3) for _ in range(dim))
+            for _ in range(rng.randint(0, 3))])
+        small_gens = [combination(ring, [rng.randint(-3, 3)
+                                         for _ in larger.rows],
+                                  larger.rows, dim)
+                      for _ in range(rng.randint(0, 2))]
+        smaller = SubobjectData(ambient, small_gens)
+        qp = QuotientPresentation(larger, smaller)
+
+        def element(sub):
+            return combination(ring, [rng.randint(-4, 4) for _ in sub.rows],
+                               sub.rows, dim)
+        x = element(smaller if rng.random() < 0.4 else larger)
+        s = element(smaller)
+        cx = qp.class_vector(x)
+        assert qp.class_vector(tuple(ring.add(a, b)
+                                     for a, b in zip(x, s))) == cx
+        in_smaller = in_span_reference(ring, small_gens + relations, x, dim)
+        assert qp.is_zero_class(cx) == in_smaller
+        assert (cx == (ring.zero(),) * qp.class_dim) == in_smaller
+        zero += in_smaller
+        nonzero += not in_smaller
+        for k, rep in enumerate(qp.class_representatives()):
+            assert qp.class_vector(rep) == tuple(
+                ring.one() if i == k else ring.zero()
+                for i in range(qp.class_dim))
+        assert qp.invariants() == larger.quotient_by(smaller)
+        assert qp.relation_rows == tuple(
+            tuple(d if i == t else 0 for i in range(qp.class_dim))
+            for t, d in enumerate(qp.invariants().torsion))
+    assert zero and nonzero
+
+
 def count_calls(monkeypatch, *names):
     """Count calls of the named ``linalg`` functions made through any
     module of the package that binds them."""
@@ -306,10 +365,11 @@ def test_zero_classes_over_z_run_no_hermite_form(monkeypatch):
     qp = QuotientPresentation(ambient.full(),
                               SubobjectData(ambient, [(2, 0, 0), (0, 4, 2)]))
     counts = count_calls(monkeypatch, "hermite_normal_form")
-    assert qp.is_zero_class((2, 4, 2))
-    assert not qp.is_zero_class((1, 0, 0))
-    assert qp.classes_equal((0, 5, 2), (0, 1, 0))
-    assert not qp.classes_equal((0, 2, 1), (0, 0, 0))
+    c = qp.class_vector
+    assert qp.is_zero_class(c((2, 4, 2)))
+    assert not qp.is_zero_class(c((1, 0, 0)))
+    assert qp.classes_equal(c((0, 5, 2)), c((0, 1, 0)))
+    assert not qp.classes_equal(c((0, 2, 1)), c((0, 0, 0)))
     assert counts == {"hermite_normal_form": 0}
 
 
